@@ -233,9 +233,10 @@ func selfHostHandler(cfg *loadgen.Config, pop *loadgen.Population, reg *telemetr
 		tenants.Close()
 		return nil, nil, err
 	}
-	// The client's first request is GET /v1/schema; wait out WAL
-	// recovery so it can't race a 503.
-	if err := col.AwaitReady(); err != nil {
+	// Create returns once the collection is built (or its WAL recovered),
+	// so the client's first GET /v1/schema cannot race a 503; a failed
+	// build surfaces here.
+	if err := col.Ready(); err != nil {
 		tenants.Close()
 		return nil, nil, err
 	}

@@ -79,9 +79,9 @@
 // -checkpoint-every records, and after a crash — kill -9 included — the
 // server restores the newest checkpoint and replays the WAL tail, so at
 // most one flush interval of submissions is at risk instead of
-// everything since startup. A legacy single-file -state path from older
-// releases is migrated into the directory automatically. The state
-// contains only perturbed marginal counts — no raw record ever reaches
+// everything since startup. A regular file given as -state (single-file
+// state from very old releases) is refused with the upgrade path in the
+// error. The state contains only perturbed marginal counts — no raw record ever reaches
 // the server in the FRAPP trust model. See docs/persistence.md.
 //
 // With -peers, the server runs as a federation COORDINATOR: it pulls
@@ -124,7 +124,7 @@ func main() {
 		scheme       = flag.String("scheme", "gamma", "perturbation scheme: gamma, mask, or cutpaste")
 		rho1         = flag.Float64("rho1", 0.05, "privacy prior bound rho1")
 		rho2         = flag.Float64("rho2", 0.50, "privacy posterior bound rho2")
-		state        = flag.String("state", "", "state directory for crash durability (optional; legacy state files are migrated)")
+		state        = flag.String("state", "", "state directory for crash durability (optional; must be a directory, single-file state is refused)")
 		ckptEvery    = flag.Int("checkpoint-every", 0, "records between compacted checkpoints (0 = default 10000)")
 		walSync      = flag.String("wal-sync", "always", "WAL fsync policy: always or off")
 		walFlush     = flag.Duration("wal-flush", 0, "WAL flush interval (0 = default 200ms)")

@@ -8,16 +8,9 @@
 // generates the population itself, it checks that the global estimate's
 // 95% confidence interval brackets the ground truth of the full
 // population — something no single site could even phrase.
-//
-// The last act is the operational hard case: one site restores an older
-// -state snapshot mid-run. Its counter generation bumps, the
-// coordinator full-resyncs that site, and the global view re-converges
-// to the true union — never double-counting, never serving the stale
-// contribution.
 package main
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"log"
@@ -97,34 +90,6 @@ func main() {
 		{"age": "(15-35]", "sex": "Female", "native-country": "United-States"},
 	}
 	showEstimates(coordClient, schema, population, filters)
-
-	// The hard case: site 0 saves state, keeps collecting, then restores
-	// the older snapshot (a crash recovery). Generation handling forces
-	// the coordinator into a clean full re-pull of that site.
-	var snapshot bytes.Buffer
-	check(sites[0].SaveState(&snapshot))
-	extra, err := frapp.GenerateCensus(5000, 11)
-	check(err)
-	site0Client, err := frapp.NewCollectionClient(siteTS[0].URL, frapp.WithHTTPClient(siteTS[0].Client()))
-	check(err)
-	check(site0Client.SubmitBatch(extra.Records, rng))
-	check(coord.SyncAll(context.Background()))
-	preRestore, err := coordClient.Stats()
-	check(err)
-
-	check(sites[0].LoadState(&snapshot))
-	check(coord.SyncAll(context.Background()))
-	postRestore, err := coordClient.Stats()
-	check(err)
-	fmt.Printf("\nsite 0 restored an older -state snapshot: global %d → %d records "+
-		"(the %d post-snapshot submissions left the global view cleanly — no double count, no stale serve)\n",
-		preRestore.Records, postRestore.Records, preRestore.Records-postRestore.Records)
-	fs, err = coordClient.FederationStats()
-	check(err)
-	for _, p := range fs.Peers {
-		fmt.Printf("  peer %-28s healthy=%-5v syncs=%d full_resyncs=%d records=%d\n",
-			p.URL, p.Healthy, p.Syncs, p.FullSyncs, p.Records)
-	}
 }
 
 // showEstimates prints global estimates next to the full-population

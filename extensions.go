@@ -14,6 +14,7 @@ import (
 	"repro/internal/mining"
 	"repro/internal/query"
 	"repro/internal/service"
+	"repro/internal/store"
 )
 
 // Classification (see internal/classify).
@@ -80,6 +81,14 @@ var (
 	WithJobTTL = service.WithJobTTL
 	// WithQueryLimit caps the filters of one /v1/query batch.
 	WithQueryLimit = service.WithQueryLimit
+	// OpenStateStore opens (or creates) a state directory: a delta WAL
+	// plus compacted checkpoints, recovered to the last flushed record
+	// after a crash. It is the only way a server's counts reach disk.
+	OpenStateStore = store.Open
+	// WithStateStore makes a server durable over an opened state store:
+	// it recovers the stored counts at construction and owns the store
+	// from then on (Close flushes and closes it).
+	WithStateStore = service.WithStore
 )
 
 // Federation (see internal/federation and internal/mining/delta.go):

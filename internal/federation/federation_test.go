@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -21,6 +22,7 @@ import (
 	"repro/internal/federation"
 	"repro/internal/mining"
 	"repro/internal/service"
+	"repro/internal/store"
 )
 
 var testSpec = core.PrivacySpec{Rho1: 0.05, Rho2: 0.50} // γ = 19
@@ -69,6 +71,54 @@ func fedMatrix(t testing.TB, s *dataset.Schema) core.UniformMatrix {
 type site struct {
 	srv *service.Server
 	ts  *httptest.Server
+}
+
+// newDurableSite builds a site whose server keeps its state in a
+// FileStore over dir, listening on addr ("127.0.0.1:0" for any port).
+func newDurableSite(t testing.TB, schema *dataset.Schema, dir, addr string) *site {
+	t.Helper()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := service.NewServer(schema, testSpec, service.WithScheme(stressScheme(t)), service.WithStore(st))
+	if err != nil {
+		st.Close()
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	l, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewUnstartedServer(srv.Handler())
+	ts.Listener.Close()
+	ts.Listener = l
+	ts.Start()
+	t.Cleanup(ts.Close)
+	return &site{srv: srv, ts: ts}
+}
+
+// copyDir copies every file of a store directory — an operator's
+// backup of a collector's state.
+func copyDir(t testing.TB, src, dst string) {
+	t.Helper()
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(dst, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 func newSite(t testing.TB, schema *dataset.Schema) *site {
@@ -261,28 +311,31 @@ func TestFederationEquivalenceProperty(t *testing.T) {
 	}
 }
 
-// TestFederationPeerRestoreNeverRegresses is the generation half of the
-// acceptance property: a mid-sync peer -state restore bumps the peer's
-// counter generation, forcing the coordinator into a clean full re-pull
-// — the global view re-converges to the true union and never
-// double-counts the records that survived the restore.
+// TestFederationPeerRestoreNeverRegresses is the rollback half of the
+// acceptance property: a peer restarted mid-sync from an older backup
+// of its state directory comes back behind what the coordinator already
+// merged, which forces a clean full re-pull of that peer — the global
+// view re-converges to the true union and never double-counts the
+// records that survived the restore.
 func TestFederationPeerRestoreNeverRegresses(t *testing.T) {
 	schema := fedSchema(t)
 	rng := rand.New(rand.NewSource(43))
-	sites := []*site{newSite(t, schema), newSite(t, schema)}
+	dir := filepath.Join(t.TempDir(), "site0")
+	sites := []*site{newDurableSite(t, schema, dir, "127.0.0.1:0"), newSite(t, schema)}
 	_, coord, coordTS := newCoordinator(t, schema, sites)
 
 	keepA := randomRecords(schema, rng, 80) // survives the restore
-	lostA := randomRecords(schema, rng, 50) // submitted after the save, lost
+	lostA := randomRecords(schema, rng, 50) // submitted after the backup, lost
 	afterA := randomRecords(schema, rng, 30)
 	recsB := randomRecords(schema, rng, 70)
 
 	submitBatch(t, schema, sites[0].ts.URL, keepA)
 	submitBatch(t, schema, sites[1].ts.URL, recsB)
-	var state bytes.Buffer
-	if err := sites[0].srv.SaveState(&state); err != nil {
+	if err := sites[0].srv.CheckpointNow(); err != nil {
 		t.Fatal(err)
 	}
+	backup := filepath.Join(t.TempDir(), "site0-backup")
+	copyDir(t, dir, backup)
 	submitBatch(t, schema, sites[0].ts.URL, lostA)
 
 	// Mid-sync: the coordinator merges the pre-restore view (including
@@ -295,10 +348,14 @@ func TestFederationPeerRestoreNeverRegresses(t *testing.T) {
 		t.Fatalf("pre-restore global %d records, want %d", st.Records, len(keepA)+len(lostA)+len(recsB))
 	}
 
-	// The restore: site 0 drops back to the saved state (generation
-	// bump), then collects different records.
-	if err := sites[0].srv.LoadState(&state); err != nil {
-		t.Fatal(err)
+	// The restore: site 0 stops and restarts, at the same address, on
+	// the backup, then collects different records.
+	addr := sites[0].ts.Listener.Addr().String()
+	sites[0].srv.Close()
+	sites[0].ts.Close()
+	sites[0] = newDurableSite(t, schema, backup, addr)
+	if n := sites[0].srv.N(); n != len(keepA) {
+		t.Fatalf("restored site holds %d records, want %d", n, len(keepA))
 	}
 	submitBatch(t, schema, sites[0].ts.URL, afterA)
 
@@ -353,6 +410,52 @@ func TestFederationPeerRestoreNeverRegresses(t *testing.T) {
 	if want.VersionVector != nil {
 		t.Fatal("single node stamped a version vector")
 	}
+}
+
+// TestFederationPeerRestoredTwiceFromOneBackup: restoring the same
+// backup a second time must force a full re-pull again. Both boots
+// start from identical persisted state, so only their token lines tell
+// them apart; were those equal, the coordinator would chain its first-
+// restore position incrementally onto the second restore's different
+// records and silently serve the wrong union.
+func TestFederationPeerRestoredTwiceFromOneBackup(t *testing.T) {
+	schema := fedSchema(t)
+	rng := rand.New(rand.NewSource(44))
+	dir := filepath.Join(t.TempDir(), "site0")
+	sites := []*site{newDurableSite(t, schema, dir, "127.0.0.1:0"), newSite(t, schema)}
+	_, coord, coordTS := newCoordinator(t, schema, sites)
+
+	keepA := randomRecords(schema, rng, 80)
+	recsB := randomRecords(schema, rng, 70)
+	submitBatch(t, schema, sites[0].ts.URL, keepA)
+	submitBatch(t, schema, sites[1].ts.URL, recsB)
+	if err := sites[0].srv.CheckpointNow(); err != nil {
+		t.Fatal(err)
+	}
+	backup := filepath.Join(t.TempDir(), "site0-backup")
+	copyDir(t, dir, backup)
+
+	var after []dataset.Record
+	for restore := 0; restore < 2; restore++ {
+		addr := sites[0].ts.Listener.Addr().String()
+		sites[0].srv.Close()
+		sites[0].ts.Close()
+		copied := filepath.Join(t.TempDir(), "site0-restored")
+		copyDir(t, backup, copied)
+		sites[0] = newDurableSite(t, schema, copied, addr)
+		// Same count both times: only the records differ.
+		after = randomRecords(schema, rng, 30)
+		submitBatch(t, schema, sites[0].ts.URL, after)
+		if err := coord.SyncAll(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	single := newSite(t, schema)
+	submitBatch(t, schema, single.ts.URL, keepA)
+	submitBatch(t, schema, single.ts.URL, after)
+	submitBatch(t, schema, single.ts.URL, recsB)
+	assertEquivalent(t, schema, coordTS.URL, single.ts.URL, rng)
 }
 
 func TestFederationStatsAndVersionVector(t *testing.T) {

@@ -296,10 +296,10 @@ func (c *boolCore) checkState(st *counterState) error {
 }
 
 // stateMeta fills the v3 scheme-tagged state header.
-func (c *boolCore) stateMeta(version int) counterState {
+func (c *boolCore) stateMeta() counterState {
 	schema := c.Schema()
 	st := counterState{
-		Version:    version,
+		Version:    schemeStateVersion,
 		Scheme:     c.Scheme(),
 		SchemaName: schema.Name,
 		M:          schema.M(),

@@ -436,9 +436,13 @@ func TestNewShardedFromSnapshotServesMergedState(t *testing.T) {
 	if err := wrapped.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadMaterializedGammaCounter(&buf, s, m)
+	scheme, err := NewGammaScheme(s, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	countersEqual(t, src, loaded)
+	loaded, err := LoadLiveCounter(&buf, scheme, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	countersEqual(t, src, loaded.shards[0].(*MaterializedGammaCounter))
 }

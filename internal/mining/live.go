@@ -2,7 +2,6 @@ package mining
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/core"
@@ -49,11 +48,11 @@ type PointEstimate struct {
 
 // LiveCounter is the scheme-polymorphic live ingestion counter: the
 // single interface the collection service, interactive query engine,
-// async mining jobs, persistence, and federation all program against.
-// Implemented by ShardedCounter for every scheme; which scheme a counter
-// runs is observable (Scheme) and sealed into its compatibility
-// fingerprint, so two counters under different schemes can never be
-// merged.
+// async mining jobs, and federation all program against. Implemented by
+// ShardedCounter for every scheme (the state stores persist that
+// concrete type); which scheme a counter runs is observable (Scheme)
+// and sealed into its compatibility fingerprint, so two counters under
+// different schemes can never be merged.
 type LiveCounter interface {
 	// Scheme names the perturbation scheme the counter counts under.
 	Scheme() string
@@ -92,8 +91,6 @@ type LiveCounter interface {
 	// SnapshotVersioned folds the counter into one frozen SupportCounter
 	// (minable by Apriori) together with the version it is valid for.
 	SnapshotVersioned() (SupportCounter, uint64)
-	// Save persists the counter (restored by LoadLiveCounter).
-	Save(w io.Writer) error
 	// Fingerprint is the compatibility fingerprint: a hash of the scheme
 	// identifier, schema, and scheme parameters. Counters merge — via
 	// federation deltas or state restores — only on exact match.
@@ -178,7 +175,7 @@ type CounterCore interface {
 	saveShard() shardState
 	restoreShard(sh shardState) error
 	checkState(st *counterState) error
-	stateMeta(version int) counterState
+	stateMeta() counterState
 }
 
 // preparedIngest is a validated, scheme-specific batch of records ready

@@ -5,9 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-
-	"repro/internal/core"
-	"repro/internal/dataset"
 )
 
 // ErrCorruptState marks a state payload that could not be decoded at
@@ -18,23 +15,17 @@ import (
 // start empty) instead of surfacing raw gob internals.
 var ErrCorruptState = fmt.Errorf("%w: corrupt counter state", ErrMining)
 
-// counterState is the serialized form of a counter. The schema itself is
-// NOT serialized — the loader supplies it (through the scheme contract)
-// and the state is validated against it, so a state file can never
-// silently reinterpret a different schema's counts.
-//
-// Version 1 carries a single gamma counter in (N, Hists); version 2
-// carries one (N, Hists) payload per shard in Shards; version 3 is the
-// scheme-tagged format: Scheme names the perturbation scheme, the
-// scheme's parameters ride in the meta fields, and each shard carries
-// either dense subset histograms (gamma) or sparse joint cells (the
-// boolean schemes). Gob matches fields by name, so every version decodes
-// into this struct and the loaders accept all three: a scheme-generic
-// server restores legacy gamma state files, and saved shards fold modulo
-// the live shard count.
+// counterState is the serialized (version 3, scheme-tagged) form of a
+// counter. The schema itself is NOT serialized — the loader supplies it
+// (through the scheme contract) and the state is validated against it,
+// so a state file can never silently reinterpret a different schema's
+// counts. Scheme names the perturbation scheme, the scheme's parameters
+// ride in the meta fields, and each shard carries either dense subset
+// histograms (gamma) or sparse joint cells (the boolean schemes); saved
+// shards fold modulo the live shard count.
 type counterState struct {
 	Version    int
-	Scheme     string // empty in v1/v2 files, which are always gamma
+	Scheme     string
 	SchemaName string
 	M          int
 	DomainSize int
@@ -50,11 +41,7 @@ type counterState struct {
 	CutK   int
 	CutRho float64
 
-	// Version 1 payload: one counter.
-	N     int
-	Hists [][]float64
-
-	// Version 2+ payload: one entry per shard.
+	// One entry per shard.
 	Shards []shardState
 }
 
@@ -66,16 +53,14 @@ type shardState struct {
 	Cells []DeltaCell
 }
 
-const (
-	counterStateVersion = 1
-	shardedStateVersion = 2
-	schemeStateVersion  = 3
-)
+// schemeStateVersion is the only state version the loaders accept.
+// Versions 1 and 2 (pre-scheme gamma files) are no longer readable.
+const schemeStateVersion = 3
 
 // stateMeta fills the state header for a gamma core.
-func (c *MaterializedGammaCounter) stateMeta(version int) counterState {
+func (c *MaterializedGammaCounter) stateMeta() counterState {
 	return counterState{
-		Version:    version,
+		Version:    schemeStateVersion,
 		Scheme:     SchemeGamma,
 		SchemaName: c.schema.Name,
 		M:          c.schema.M(),
@@ -139,19 +124,11 @@ func (c *MaterializedGammaCounter) restoreShard(sh shardState) error {
 	return nil
 }
 
-// Save serializes the counter (gob encoding) so a collection server can
-// restart without losing submissions.
-func (c *MaterializedGammaCounter) Save(w io.Writer) error {
-	st := c.stateMeta(schemeStateVersion)
-	st.Shards = []shardState{c.saveShard()}
-	return gob.NewEncoder(w).Encode(&st)
-}
-
 // save serializes every shard of a live counter in the scheme-tagged v3
 // format. Each shard is deep-copied under its own lock first, so
 // submissions may keep arriving while the state streams out.
 func (c *ShardedCounter) save(w io.Writer) error {
-	st := c.shards[0].stateMeta(schemeStateVersion)
+	st := c.shards[0].stateMeta()
 	st.Shards = make([]shardState, len(c.shards))
 	for i, s := range c.shards {
 		st.Shards[i] = s.saveShard()
@@ -159,9 +136,7 @@ func (c *ShardedCounter) save(w io.Writer) error {
 	return gob.NewEncoder(w).Encode(&st)
 }
 
-// decodeState decodes any state version and normalizes the payload into
-// st.Shards (a version-1 file becomes one shard) and st.Scheme (legacy
-// versions are always gamma).
+// decodeState decodes a version-3 state payload.
 func decodeState(r io.Reader) (*counterState, error) {
 	var st counterState
 	if err := gob.NewDecoder(r).Decode(&st); err != nil {
@@ -170,31 +145,22 @@ func decodeState(r io.Reader) (*counterState, error) {
 		}
 		return nil, fmt.Errorf("%w: %v", ErrCorruptState, err)
 	}
-	switch st.Version {
-	case counterStateVersion:
-		st.Scheme = SchemeGamma
-		st.Shards = []shardState{{N: st.N, Hists: st.Hists}}
-	case shardedStateVersion:
-		st.Scheme = SchemeGamma
-		fallthrough
-	case schemeStateVersion:
-		if len(st.Shards) == 0 {
-			return nil, fmt.Errorf("%w: sharded state has no shards", ErrMining)
-		}
-		if st.Scheme == "" {
-			return nil, fmt.Errorf("%w: scheme-tagged state carries no scheme", ErrMining)
-		}
-	default:
-		return nil, fmt.Errorf("%w: counter state version %d, want %d, %d, or %d",
-			ErrMining, st.Version, counterStateVersion, shardedStateVersion, schemeStateVersion)
+	if st.Version != schemeStateVersion {
+		return nil, fmt.Errorf("%w: unsupported counter state version %d, want %d", ErrMining, st.Version, schemeStateVersion)
+	}
+	if len(st.Shards) == 0 {
+		return nil, fmt.Errorf("%w: sharded state has no shards", ErrMining)
+	}
+	if st.Scheme == "" {
+		return nil, fmt.Errorf("%w: scheme-tagged state carries no scheme", ErrMining)
 	}
 	return &st, nil
 }
 
-// LoadLiveCounter restores a live counter saved with LiveCounter.Save
-// (or a legacy gamma Save), validating the scheme identity, scheme
-// parameters, and every structural invariant against the supplied
-// contract before accepting the state. The live shard count is the
+// LoadLiveCounter restores a live counter saved with ShardedCounter.Save,
+// validating the scheme identity, scheme parameters, and every
+// structural invariant against the supplied contract before accepting
+// the state. The live shard count is the
 // caller's choice, not the file's: saved shard i folds into live shard
 // i mod shards, so state round-trips across -shards changes and across
 // the single↔sharded counter boundary.
@@ -230,42 +196,4 @@ func LoadLiveCounter(r io.Reader, scheme CounterScheme, shards int) (*ShardedCou
 	c.total.Store(int64(total))
 	c.version.Store(uint64(total))
 	return c, nil
-}
-
-// LoadMaterializedGammaCounter restores a gamma counter saved with any
-// counter's Save, validating every structural invariant against the
-// supplied schema and matrix before accepting the state. Sharded state
-// is merged into the single counter.
-func LoadMaterializedGammaCounter(r io.Reader, schema *dataset.Schema, m core.UniformMatrix) (*MaterializedGammaCounter, error) {
-	st, err := decodeState(r)
-	if err != nil {
-		return nil, err
-	}
-	if st.Scheme != SchemeGamma {
-		return nil, fmt.Errorf("%w: state was saved under scheme %q, not %q", ErrMining, st.Scheme, SchemeGamma)
-	}
-	c, err := NewMaterializedGammaCounter(schema, m)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.checkState(st); err != nil {
-		return nil, err
-	}
-	for _, sh := range st.Shards {
-		if err := c.restoreShard(sh); err != nil {
-			return nil, err
-		}
-	}
-	return c, nil
-}
-
-// LoadShardedGammaCounter restores a gamma sharded counter saved with
-// any counter's Save — the historical loader, kept as a convenience
-// over LoadLiveCounter with a GammaScheme.
-func LoadShardedGammaCounter(r io.Reader, schema *dataset.Schema, m core.UniformMatrix, shards int) (*ShardedCounter, error) {
-	scheme, err := NewGammaScheme(schema, m)
-	if err != nil {
-		return nil, err
-	}
-	return LoadLiveCounter(r, scheme, shards)
 }

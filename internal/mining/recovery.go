@@ -1,6 +1,9 @@
 package mining
 
-import "fmt"
+import (
+	"fmt"
+	"math/rand"
+)
 
 // Crash-recovery support for live counters. The durable store
 // (internal/store) logs a ShardedCounter's changes as a chain of
@@ -24,6 +27,15 @@ import "fmt"
 // token the previous boot could plausibly have minted (one token per
 // pull: 2^32 pulls between two checkpoints is out of reach).
 const tokenRecoveryGap = 1 << 32
+
+// tokenRecoveryJitter bounds a random extra skip on top of the gap. The
+// gap alone is a function of the persisted state, so two boots from the
+// SAME state — one backup restored twice — would mint the same token
+// line for different records, and a puller holding a token from the
+// first boot would chain incrementally onto the second boot's state.
+// With the jitter the two lines overlap only with probability about
+// (tokens minted)/2^40, while 2^24 boots still fit in a uint64.
+const tokenRecoveryJitter = 1 << 40
 
 // ApplyDelta folds a replication or WAL delta into the live counter: the
 // cells land in one shard (validated by the shard's own ApplyDelta —
@@ -91,7 +103,9 @@ func (c *ShardedCounter) ReplicationState() ReplicationState {
 // RestoreReplicationState adopts a persisted replication identity into a
 // freshly recovered counter: the delta epoch is restored (so pullers'
 // generation checks pass), the token high-water mark jumps past anything
-// the previous boot could have minted (see tokenRecoveryGap), and every
+// the previous boot could have minted, by a random amount so that two
+// boots from one persisted state mint different token lines (see
+// tokenRecoveryGap and tokenRecoveryJitter), and every
 // baseline that is still a subset of the recovered state is re-retained.
 // A baseline the recovered counter does not dominate — possible when a
 // crash lost WAL records that a puller had already been served — is
@@ -116,7 +130,7 @@ func (c *ShardedCounter) RestoreReplicationState(rs ReplicationState) error {
 	if v := c.version.Load(); v > base {
 		base = v
 	}
-	c.lastDeltaToken = base + tokenRecoveryGap
+	c.lastDeltaToken = base + tokenRecoveryGap + uint64(rand.Int63n(tokenRecoveryJitter))
 	for _, b := range rs.Baselines {
 		if b.Token == 0 || b.Records < 0 || b.Records > n || len(b.Cells) > len(joint) {
 			continue

@@ -157,6 +157,54 @@ func TestReplicationStateRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRestoreTwiceFromOneStateMintsDistinctTokens: two boots from the
+// same persisted state (one backup restored twice) must mint different
+// token lines — otherwise a puller holding the first boot's token would
+// chain incrementally onto the second boot's different records.
+func TestRestoreTwiceFromOneStateMintsDistinctTokens(t *testing.T) {
+	s := deltaTestSchema(t)
+	m := deltaTestMatrix(t, s)
+	rng := rand.New(rand.NewSource(54))
+	src, err := NewShardedGammaCounter(s, m, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if err := src.Add(randomRecord(s, rng)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var state bytes.Buffer
+	if err := src.Save(&state); err != nil {
+		t.Fatal(err)
+	}
+	rs := src.ReplicationState()
+	boot := func() *CounterDelta {
+		c, err := LoadLiveCounter(bytes.NewReader(state.Bytes()), src.CounterScheme(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.RestoreReplicationState(rs); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Add(randomRecord(s, rng)); err != nil {
+			t.Fatal(err)
+		}
+		d, err := c.DeltaSince(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	first, second := boot(), boot()
+	if first.Generation != second.Generation {
+		t.Fatal("restores from one state disagree on the epoch")
+	}
+	if first.ToVersion == second.ToVersion {
+		t.Fatalf("both boots minted token %d for different records", first.ToVersion)
+	}
+}
+
 // TestRestoreReplicationStateDropsInvalidBaselines: a baseline the
 // recovered state does not dominate (its WAL tail died with the crash)
 // is dropped — its puller full-resyncs — and never corrupts the ring.

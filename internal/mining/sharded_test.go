@@ -3,6 +3,7 @@ package mining
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math/rand"
 	"sync"
 	"testing"
@@ -252,14 +253,17 @@ func TestShardedConcurrentIngestSnapshotMine(t *testing.T) {
 }
 
 // TestShardedPersistRoundTrip saves a sharded counter and restores it at
-// the same, a smaller, and a larger shard count, plus across the
-// single↔sharded boundary in both directions — supports must be
-// identical every time.
+// the same, a smaller, a larger, and a single shard count — supports
+// must be identical every time.
 func TestShardedPersistRoundTrip(t *testing.T) {
 	db := buildSkewedDB(t, 3000, 75)
 	sc := db.Schema
 	m, _ := core.NewGammaDiagonal(sc.DomainSize(), 19)
-	orig, err := NewShardedGammaCounter(sc, m, 4)
+	scheme, err := NewGammaScheme(sc, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig, err := NewShardedCounter(scheme, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,8 +281,8 @@ func TestShardedPersistRoundTrip(t *testing.T) {
 	}
 	raw := buf.Bytes()
 
-	for _, shards := range []int{4, 2, 7} {
-		back, err := LoadShardedGammaCounter(bytes.NewReader(raw), sc, m, shards)
+	for _, shards := range []int{4, 2, 7, 1} {
+		back, err := LoadLiveCounter(bytes.NewReader(raw), scheme, shards)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -302,42 +306,11 @@ func TestShardedPersistRoundTrip(t *testing.T) {
 			t.Fatal("restored counter not live")
 		}
 	}
-
-	// Sharded state → single counter.
-	merged, err := LoadMaterializedGammaCounter(bytes.NewReader(raw), sc, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := merged.Supports(cands)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("merged candidate %d: %v vs %v", i, want[i], got[i])
-		}
-	}
-
-	// Legacy single-counter state → sharded counter.
-	var legacy bytes.Buffer
-	if err := merged.Save(&legacy); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadShardedGammaCounter(&legacy, sc, m, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err = back.Supports(cands)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("legacy-restore candidate %d: %v vs %v", i, want[i], got[i])
-		}
-	}
 }
 
+// TestShardedLoadRejectsBadState: a valid payload restored under a
+// different schema or matrix, and a payload whose per-subset totals
+// disagree with its record count, are contract errors.
 func TestShardedLoadRejectsBadState(t *testing.T) {
 	db := buildSkewedDB(t, 200, 76)
 	sc := db.Schema
@@ -351,14 +324,22 @@ func TestShardedLoadRejectsBadState(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
+	load := func(r io.Reader, sc *dataset.Schema, m core.UniformMatrix) error {
+		scheme, err := NewGammaScheme(sc, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = LoadLiveCounter(r, scheme, 2)
+		return err
+	}
 
 	other := dataset.CensusSchema()
 	om, _ := core.NewGammaDiagonal(other.DomainSize(), 19)
-	if _, err := LoadShardedGammaCounter(bytes.NewReader(raw), other, om, 2); !errors.Is(err, ErrMining) {
+	if err := load(bytes.NewReader(raw), other, om); !errors.Is(err, ErrMining) {
 		t.Fatal("mismatched schema accepted")
 	}
 	m2, _ := core.NewGammaDiagonal(sc.DomainSize(), 9)
-	if _, err := LoadShardedGammaCounter(bytes.NewReader(raw), sc, m2, 2); !errors.Is(err, ErrMining) {
+	if err := load(bytes.NewReader(raw), sc, m2); !errors.Is(err, ErrMining) {
 		t.Fatal("mismatched matrix accepted")
 	}
 	// Tampered per-shard totals must be rejected.
@@ -367,7 +348,7 @@ func TestShardedLoadRejectsBadState(t *testing.T) {
 	if err := c.Save(&tampered); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadShardedGammaCounter(&tampered, sc, m, 2); !errors.Is(err, ErrMining) {
+	if err := load(&tampered, sc, m); !errors.Is(err, ErrMining) {
 		t.Fatal("inconsistent shard totals accepted")
 	}
 }
@@ -427,7 +408,7 @@ func TestShardedSnapshotVersion(t *testing.T) {
 	if err := c.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := LoadShardedGammaCounter(&buf, sc, m, 2)
+	restored, err := LoadLiveCounter(&buf, c.CounterScheme(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}

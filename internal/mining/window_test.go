@@ -302,9 +302,6 @@ func TestWindowedDurabilityRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Save(nil); err == nil {
-		t.Fatal("Save on a windowed counter must refuse")
-	}
 	if _, err := w.DeltaSince(0); err == nil {
 		t.Fatal("DeltaSince on a windowed counter must refuse")
 	}

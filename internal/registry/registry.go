@@ -294,8 +294,8 @@ type Registry struct {
 	everNamed map[string]bool
 	closed    bool
 
-	// buildDelay, when non-nil, runs at the head of every background
-	// build — the test seam for driving slow-recovery readiness.
+	// buildDelay, when non-nil, runs at the head of every build — the
+	// test seam for driving slow-recovery readiness.
 	buildDelay func(name string)
 }
 
@@ -366,10 +366,13 @@ func (r *Registry) Adopt(name string, srv *service.Server) (*Collection, error) 
 	return col, nil
 }
 
-// Create registers a new named collection and starts building it in
-// the background. It is idempotent: re-PUTting an identical spec
-// returns the existing collection (created=false); a different spec
-// under a live name is a conflict, never an overwrite.
+// Create registers a new named collection and builds it before
+// returning, so the caller's next request finds it serving (a build
+// failure shows in the collection's Ready and info, as for a failed
+// rebuild at boot). It is idempotent: re-PUTting an identical spec
+// returns the existing collection (created=false) once its own build
+// has finished; a different spec under a live name is a conflict, never
+// an overwrite.
 func (r *Registry) Create(name string, spec CollectionSpec) (col *Collection, created bool, err error) {
 	if !nameRE.MatchString(name) {
 		return nil, false, fmt.Errorf("%w: bad collection name %q (want %s)", ErrRegistry, name, nameRE)
@@ -377,6 +380,23 @@ func (r *Registry) Create(name string, spec CollectionSpec) (col *Collection, cr
 	if err := spec.normalize(); err != nil {
 		return nil, false, err
 	}
+	col, created, err = r.register(name, spec)
+	if err != nil {
+		return nil, false, err
+	}
+	if created {
+		// A new collection has nothing to recover, so it is built here,
+		// outside r.mu — a slow store open must not stall other tenants.
+		r.build(col)
+	}
+	<-col.ready
+	return col, created, nil
+}
+
+// register records a new collection (ready still open) and persists the
+// manifest, or returns the live collection an identical spec already
+// names.
+func (r *Registry) register(name string, spec CollectionSpec) (col *Collection, created bool, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
@@ -406,7 +426,6 @@ func (r *Registry) Create(name string, spec CollectionSpec) (col *Collection, cr
 		delete(r.collections, name)
 		return nil, false, err
 	}
-	go r.build(col)
 	return col, true, nil
 }
 
@@ -536,8 +555,9 @@ func (r *Registry) tenantDir(name string) string {
 	return filepath.Join(r.baseDir, "tenants", name)
 }
 
-// build constructs the collection's server in the background and
-// publishes the outcome by closing ready.
+// build constructs the collection's server and publishes the outcome by
+// closing ready — in the background for manifest rebuilds at boot,
+// inline for Create.
 func (r *Registry) build(col *Collection) {
 	if d := r.buildDelay; d != nil {
 		d(col.name)

@@ -440,6 +440,27 @@ func TestRegistryReadyzDuringRecovery(t *testing.T) {
 	}
 }
 
+// TestRegistryCreateThenUse pins create-then-use: PUT answers 201 only
+// once the new collection serves, so the very next data-plane request
+// succeeds even when the build is slow.
+func TestRegistryCreateThenUse(t *testing.T) {
+	reg, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	reg.buildDelay = func(string) { time.Sleep(50 * time.Millisecond) }
+	ts := httptest.NewServer(reg.Handler())
+	defer ts.Close()
+
+	putCollection(t, ts, "fresh", testSpec(), http.StatusCreated)
+	if status, b := doJSON(t, ts, "GET", "/v1/collections/fresh/v1/schema", nil); status != http.StatusOK {
+		t.Fatalf("schema right after PUT: %d (%s), want 200", status, b)
+	}
+	// An identical re-PUT is idempotent and equally serving.
+	putCollection(t, ts, "fresh", testSpec(), http.StatusOK)
+}
+
 // newBlocked is the test hook: a registry whose background builds
 // first run delay (used to hold recovery open deterministically).
 func newBlocked(o Options, delay func(name string)) (*Registry, error) {

@@ -141,8 +141,8 @@ type job struct {
 }
 
 // mineKey identifies one cacheable mining computation: the counter
-// generation (bumped whenever the counter OBJECT is replaced by a state
-// restore, which resets the version line), the counter content
+// generation (bumped whenever ReplaceCounter swaps the counter OBJECT,
+// which resets the version line), the counter content
 // (snapshot version), and every parameter that changes the Apriori run
 // itself. MinConf and Limit are deliberately absent — rule generation
 // and truncation are cheap per-request post-processing over the cached
@@ -417,7 +417,7 @@ func (st *jobStore) cacheGet(key mineKey) *cacheEntry {
 // for the key: when two workers race to compute the same key, the first
 // store wins and the loser adopts it, so every result reported for one
 // (generation, version, params) is identical. A put from a superseded
-// generation (the computation started before a state restore) is
+// generation (the computation started before a counter swap) is
 // dropped without storing — its result is valid for the counter it was
 // computed on, but that counter is gone and the entry could never be
 // served. Every stored entry therefore carries the current generation,
@@ -453,7 +453,7 @@ func (st *jobStore) cachePut(key mineKey, e *cacheEntry) *cacheEntry {
 
 // invalidateCache drops every entry and advances the generation,
 // returning the new one — required when the counter object itself is
-// replaced (state restore), which resets the version line. Callers
+// replaced (ReplaceCounter), which resets the version line. Callers
 // publish the new counter together with the returned generation only
 // AFTER this completes.
 func (st *jobStore) invalidateCache() uint64 {

@@ -87,11 +87,11 @@ func TestQueryEndpoint(t *testing.T) {
 	}
 }
 
-// TestQueryGenerationAcrossRestore: a state restore restarts the
-// version line, so version-based client caching would alias two
-// different collections; the response's counter generation is what
-// disambiguates, and it must bump on restore in both /v1/query and
-// /v1/stats.
+// TestQueryGenerationAcrossRestore: swapping in a restored copy of the
+// counter restarts the version line, so version-based client caching
+// would alias two different collections; the response's counter
+// generation is what disambiguates, and it must bump on the swap in
+// both /v1/query and /v1/stats.
 func TestQueryGenerationAcrossRestore(t *testing.T) {
 	srv, ts := startServer(t)
 	for i := 0; i < 50; i++ {
@@ -99,26 +99,23 @@ func TestQueryGenerationAcrossRestore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var state strings.Builder
-	if err := srv.SaveState(&state); err != nil {
-		t.Fatal(err)
-	}
+	swapped := counterCopy(t, srv)
 	_, before := postQuery(t, ts.URL, ts.Client(), `{"filters": [{"a":"a0"}]}`)
 
-	if err := srv.LoadState(strings.NewReader(state.String())); err != nil {
+	if err := srv.ReplaceCounter(swapped, nil); err != nil {
 		t.Fatal(err)
 	}
 	code, after := postQuery(t, ts.URL, ts.Client(), `{"filters": [{"a":"a0"}]}`)
 	if code != http.StatusOK {
-		t.Fatalf("post-restore query returned %d", code)
+		t.Fatalf("post-swap query returned %d", code)
 	}
-	// Identical content, identical version (the restored line restarts
-	// at the record count) — only the generation tells the epochs apart.
+	// Identical content, identical version (the copy's line restarts at
+	// the record count) — only the generation tells the epochs apart.
 	if after.SnapshotVersion != before.SnapshotVersion {
-		t.Fatalf("restored version %d, want %d", after.SnapshotVersion, before.SnapshotVersion)
+		t.Fatalf("swapped-in version %d, want %d", after.SnapshotVersion, before.SnapshotVersion)
 	}
 	if after.CounterGeneration != before.CounterGeneration+1 {
-		t.Fatalf("generation %d after restore, was %d", after.CounterGeneration, before.CounterGeneration)
+		t.Fatalf("generation %d after swap, was %d", after.CounterGeneration, before.CounterGeneration)
 	}
 	resp, err := ts.Client().Get(ts.URL + "/v1/stats")
 	if err != nil {

@@ -99,14 +99,11 @@ func TestReplicateGenerationMismatchForcesFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Save, add more, restore: the counter object is replaced, its
-	// version line restarts, and its generation bumps.
-	var state bytes.Buffer
-	if err := srv.SaveState(&state); err != nil {
-		t.Fatal(err)
-	}
+	// Copy, add more, swap the copy back in: the counter object is
+	// replaced, its version line restarts, and its generation bumps.
+	restored := counterCopy(t, srv)
 	submitN(t, srv, ts.URL, rng, 5)
-	if err := srv.LoadState(&state); err != nil {
+	if err := srv.ReplaceCounter(restored, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -123,6 +120,24 @@ func TestReplicateGenerationMismatchForcesFull(t *testing.T) {
 	if d2.Records != 10 {
 		t.Fatalf("post-restore full delta has %d records, want restored 10", d2.Records)
 	}
+}
+
+// counterCopy returns a new counter object holding srv's current
+// content at the same version — what a federation coordinator publishes
+// when the merged view has not moved. Swapping it in through
+// ReplaceCounter is the counter swap every cache and replication
+// contract keys on.
+func counterCopy(t *testing.T, srv *Server) *mining.ShardedCounter {
+	t.Helper()
+	var state bytes.Buffer
+	if err := srv.ctr().(*mining.ShardedCounter).Save(&state); err != nil {
+		t.Fatal(err)
+	}
+	c, err := mining.LoadLiveCounter(&state, srv.CounterScheme(), srv.Shards())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 func TestReplicateRejectsBadParams(t *testing.T) {

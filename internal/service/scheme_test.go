@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/federation"
 	"repro/internal/mining"
 	"repro/internal/query"
+	"repro/internal/store"
 )
 
 // End-to-end scheme negotiation: frapp-server -scheme mask (and
@@ -396,13 +398,14 @@ func TestClientRejectsContractViolations(t *testing.T) {
 	}
 }
 
-// TestSchemeStatePersistence: -state round-trips under every scheme,
-// and a state file saved under one scheme can never be restored into a
-// server running another.
+// TestSchemeStatePersistence: a store-backed server restarts with its
+// records under every scheme, across a shard-count change, and a store
+// written under one scheme can never boot a server running another.
 func TestSchemeStatePersistence(t *testing.T) {
 	for _, tc := range schemeCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			srv, ts := startServer(t, WithScheme(tc.name), WithShards(2))
+			dir := filepath.Join(t.TempDir(), "state")
+			srv, ts := startStoreServer(t, dir, WithScheme(tc.name), WithShards(2))
 			client, err := NewClient(ts.URL, WithHTTPClient(ts.Client()))
 			if err != nil {
 				t.Fatal(err)
@@ -411,34 +414,34 @@ func TestSchemeStatePersistence(t *testing.T) {
 			if err := client.SubmitBatch(db.Records, rand.New(rand.NewSource(17))); err != nil {
 				t.Fatal(err)
 			}
-			var buf bytes.Buffer
-			if err := srv.SaveState(&buf); err != nil {
-				t.Fatal(err)
-			}
-			raw := buf.Bytes()
+			srv.Close()
+			ts.Close()
 
-			// Restore into a same-scheme server with a different shard
-			// count.
-			srv2, _ := startServer(t, WithScheme(tc.name), WithShards(5))
-			if err := srv2.LoadState(bytes.NewReader(raw)); err != nil {
-				t.Fatal(err)
-			}
-			if srv2.N() != 300 {
-				t.Fatalf("restored %d records, want 300", srv2.N())
-			}
-			if srv2.CounterGeneration() == 0 {
-				t.Fatal("state restore did not bump the counter generation")
-			}
-
-			// Every OTHER scheme must reject this state file.
+			// Every OTHER scheme must refuse this store — before the
+			// same-scheme restart below checkpoints it again.
 			for _, other := range schemeCases() {
 				if other.name == tc.name {
 					continue
 				}
-				srv3, _ := startServer(t, WithScheme(other.name))
-				if err := srv3.LoadState(bytes.NewReader(raw)); !errors.Is(err, mining.ErrMining) {
-					t.Errorf("state saved under %s restored into %s server: %v", tc.name, other.name, err)
+				st, err := store.Open(dir)
+				if err != nil {
+					t.Fatal(err)
 				}
+				srv3, err := NewServer(serviceSchema(t), core.PrivacySpec{Rho1: 0.05, Rho2: 0.50},
+					WithScheme(other.name), WithStore(st))
+				if !errors.Is(err, mining.ErrMining) {
+					t.Errorf("store written under %s booted a %s server: %v", tc.name, other.name, err)
+				}
+				if srv3 != nil {
+					srv3.Close()
+				}
+				st.Close()
+			}
+
+			// Restart under the same scheme with a different shard count.
+			srv2, _ := startStoreServer(t, dir, WithScheme(tc.name), WithShards(5))
+			if srv2.N() != 300 || srv2.Shards() != 5 {
+				t.Fatalf("restarted server has %d records on %d shards, want 300 on 5", srv2.N(), srv2.Shards())
 			}
 		})
 	}

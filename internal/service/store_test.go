@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"encoding/gob"
 	"errors"
 	"math/rand"
@@ -147,13 +146,6 @@ func TestStoreBackedServerGuards(t *testing.T) {
 	srv, ts := startStoreServer(t, dir)
 	submitBatch(t, ts, 3, 73)
 
-	var buf bytes.Buffer
-	if err := srv.SaveState(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.LoadState(&buf); !errors.Is(err, ErrService) {
-		t.Fatalf("LoadState on a store-backed server: %v, want ErrService", err)
-	}
 	other, err := mining.NewShardedCounter(srv.CounterScheme(), 1)
 	if err != nil {
 		t.Fatal(err)

@@ -265,9 +265,9 @@ func (m *serverMetrics) wireServer(s *Server) {
 }
 
 // observeCounter installs the ingest observer on any counter exposing
-// the observer hook (sharded and windowed counters alike) — called for
-// the initial counter and again whenever a state restore swaps the
-// counter object.
+// the observer hook (sharded and windowed counters alike). Only the
+// server's initial counter is observed: ReplaceCounter is a federation
+// coordinator's publish hook, and a coordinator refuses submissions.
 func (m *serverMetrics) observeCounter(c mining.LiveCounter) {
 	if m == nil {
 		return
@@ -339,15 +339,10 @@ func (o *ingestObserver) register(reg *telemetry.Registry, base []telemetry.Labe
 		"Time ingest waited to acquire a shard lock, measured at the mutex.", base...)
 }
 
-// sizeShards (re)builds the per-shard counter slice. Registration is
-// get-or-create, so resizing across a counter swap reuses existing
-// series. Not safe concurrently with ObserveIngest; callers install the
-// observer before traffic (NewServer) or behind the counter swap
-// (LoadState), both of which happen-before subsequent ingests.
+// sizeShards builds the per-shard counter slice. Not safe concurrently
+// with ObserveIngest; NewServer calls it before the server takes
+// traffic.
 func (o *ingestObserver) sizeShards(reg *telemetry.Registry, shards int) {
-	if len(o.shardRecords) >= shards {
-		return
-	}
 	counters := make([]*telemetry.Counter, shards)
 	for i := 0; i < shards; i++ {
 		labels := append(append([]telemetry.Label{}, o.base...), telemetry.L("shard", strconv.Itoa(i)))

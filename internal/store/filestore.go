@@ -26,9 +26,6 @@ import (
 //	                       WAL token, plus the replication identity
 //	wal-<seq>.log          framed header + CounterDelta records chained
 //	                       from checkpoint <seq>'s token
-//	legacy-state.gob       a migrated legacy single-file -state payload,
-//	                       removed once the first real checkpoint is
-//	                       durable
 //
 // Every record and the segment header are framed as
 // [len uint32][crc32 uint32][gob payload], both big-endian, so a torn
@@ -44,16 +41,10 @@ const (
 
 	checkpointSuffix = ".ckpt"
 	walSuffix        = ".log"
-	legacyStateName  = "legacy-state.gob"
-	migratingSuffix  = ".migrating"
 
 	// tmpPattern prefixes every temp file the store creates; stale ones
-	// (a crash between create and rename) are swept at Open. The legacy
-	// single-file persist path uses .frapp-state-* (swept by
-	// service.NewServerWithState for plain files, and here for migrated
-	// directories).
-	tmpPattern       = ".frapp-ckpt-*"
-	legacyTmpPattern = ".frapp-state-*"
+	// (a crash between create and rename) are swept at Open.
+	tmpPattern = ".frapp-ckpt-*"
 )
 
 // SyncMode controls WAL append durability. Checkpoints are always
@@ -94,11 +85,8 @@ type FileStore struct {
 	// next Append chains from it.
 	lastToken uint64
 	sinceCkpt int
-	// legacyPath is a migrated legacy state file pending removal after
-	// the first durable checkpoint.
-	legacyPath string
-	recovered  bool
-	closed     bool
+	recovered bool
+	closed    bool
 
 	// walWrite, when set (tests), intercepts WAL frame writes to inject
 	// partial or failing writers.
@@ -110,83 +98,52 @@ type FileStore struct {
 	obs      Observer
 }
 
-// Open opens (or creates) a store directory. A legacy single-file
-// -state payload at the same path is migrated into the directory: the
-// file becomes dir/legacy-state.gob, is recovered like a checkpoint,
-// and is removed once the first real checkpoint is durable. Stale temp
-// files from crashed atomic writes are swept.
+// Open opens (or creates) a store directory and sweeps stale temp
+// files from crashed atomic writes. A regular file at dir is refused:
+// it is a single-file state from before the directory layout, which
+// this store no longer reads.
 func Open(dir string, opts ...Option) (*FileStore, error) {
 	s := &FileStore{dir: dir, sync: SyncAlways}
 	for _, opt := range opts {
 		opt(s)
 	}
-	if err := s.openDir(); err != nil {
+	info, err := os.Stat(dir)
+	switch {
+	case err == nil && info.Mode().IsRegular():
+		return nil, fmt.Errorf("%w: %s is a single-file state, which is no longer read: "+
+			"boot it once with an earlier frapp-server release that migrates single-file state into a directory, "+
+			"or move it aside to start empty", ErrStore, dir)
+	case err == nil && !info.IsDir():
+		return nil, fmt.Errorf("%w: %s is not a directory", ErrStore, dir)
+	case err != nil && !errors.Is(err, fs.ErrNotExist):
+		return nil, err
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	if err := s.sweepTemps(); err != nil {
 		return nil, err
 	}
-	if _, err := os.Stat(filepath.Join(dir, legacyStateName)); err == nil {
-		s.legacyPath = filepath.Join(dir, legacyStateName)
-	}
 	return s, nil
-}
-
-// openDir creates the directory, migrating a legacy regular file at the
-// same path when present. A crash mid-migration leaves path.migrating,
-// which the next Open finishes moving in.
-func (s *FileStore) openDir() error {
-	migrating := s.dir + migratingSuffix
-	info, err := os.Stat(s.dir)
-	switch {
-	case err == nil && info.Mode().IsRegular():
-		// Legacy single-file state: move it aside, build the directory,
-		// move it in. Both renames stay within the parent directory, so
-		// each is atomic and the state file exists at every instant.
-		if err := os.Rename(s.dir, migrating); err != nil {
-			return fmt.Errorf("%w: migrating legacy state file %s: %v", ErrStore, s.dir, err)
-		}
-	case err == nil && !info.IsDir():
-		return fmt.Errorf("%w: %s is neither a directory nor a regular state file", ErrStore, s.dir)
-	case err != nil && !errors.Is(err, fs.ErrNotExist):
-		return err
-	}
-	if err := os.MkdirAll(s.dir, 0o755); err != nil {
-		return err
-	}
-	if _, err := os.Stat(migrating); err == nil {
-		if err := os.Rename(migrating, filepath.Join(s.dir, legacyStateName)); err != nil {
-			return fmt.Errorf("%w: migrating legacy state file into %s: %v", ErrStore, s.dir, err)
-		}
-		if err := SyncDir(s.dir); err != nil {
-			return err
-		}
-		if err := SyncDir(filepath.Dir(s.dir)); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // sweepTemps removes orphaned temp files left by writes that crashed
 // between create and rename.
 func (s *FileStore) sweepTemps() error {
-	for _, pattern := range []string{tmpPattern, legacyTmpPattern} {
-		matches, err := filepath.Glob(filepath.Join(s.dir, pattern))
-		if err != nil {
+	matches, err := filepath.Glob(filepath.Join(s.dir, tmpPattern))
+	if err != nil {
+		return err
+	}
+	for _, m := range matches {
+		if err := os.Remove(m); err != nil && !errors.Is(err, fs.ErrNotExist) {
 			return err
-		}
-		for _, m := range matches {
-			if err := os.Remove(m); err != nil && !errors.Is(err, fs.ErrNotExist) {
-				return err
-			}
 		}
 	}
 	return nil
 }
 
 // checkpointFile is the serialized checkpoint: the counter state (the
-// v3 scheme-tagged gob payload of LiveCounter.Save) frozen at WALToken,
+// v3 scheme-tagged gob payload of ShardedCounter.Save) frozen at WALToken,
 // plus the replication identity to restore into the recovered counter.
 type checkpointFile struct {
 	Magic       string
@@ -229,7 +186,7 @@ func (s *FileStore) recover(scheme mining.CounterScheme, shards int) (*mining.Sh
 		return nil, err
 	}
 	if len(seqs) == 0 {
-		return s.recoverLegacy(scheme, shards)
+		return nil, nil
 	}
 	// Newest valid checkpoint wins; a corrupt newest checkpoint falls
 	// back to its predecessor (whose WAL segment still carries the
@@ -260,24 +217,6 @@ func (s *FileStore) recover(scheme mining.CounterScheme, shards int) (*mining.Sh
 		return counter, nil
 	}
 	return nil, fmt.Errorf("no valid checkpoint in %s (restore a backup, or remove the directory to start empty): %w", s.dir, firstErr)
-}
-
-// recoverLegacy restores a migrated legacy single-file state when the
-// directory holds no checkpoints yet.
-func (s *FileStore) recoverLegacy(scheme mining.CounterScheme, shards int) (*mining.ShardedCounter, error) {
-	if s.legacyPath == "" {
-		return nil, nil
-	}
-	f, err := os.Open(s.legacyPath)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	counter, err := mining.LoadLiveCounter(f, scheme, shards)
-	if err != nil {
-		return nil, fmt.Errorf("state file %s is unreadable (restore it from a backup, or delete it to start empty): %w", s.legacyPath, err)
-	}
-	return counter, nil
 }
 
 // loadCheckpoint decodes and validates one checkpoint file.
@@ -373,9 +312,8 @@ func (s *FileStore) replaySegment(counter *mining.ShardedCounter, seq uint64, to
 }
 
 // Attach implements StateStore: it writes a boot checkpoint of the
-// counter's current state (recovered or empty), rotates onto a fresh
-// WAL segment, and — once that checkpoint is durable — removes a
-// migrated legacy state file.
+// counter's current state (recovered or empty) and rotates onto a fresh
+// WAL segment.
 func (s *FileStore) Attach(counter *mining.ShardedCounter) error {
 	if counter == nil {
 		return fmt.Errorf("%w: nil counter", ErrStore)
@@ -387,15 +325,6 @@ func (s *FileStore) Attach(counter *mining.ShardedCounter) error {
 	if err := s.checkpoint(); err != nil {
 		s.counter = nil
 		return err
-	}
-	if s.legacyPath != "" {
-		if err := os.Remove(s.legacyPath); err != nil && !errors.Is(err, fs.ErrNotExist) {
-			return err
-		}
-		if err := SyncDir(s.dir); err != nil {
-			return err
-		}
-		s.legacyPath = ""
 	}
 	return nil
 }

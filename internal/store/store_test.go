@@ -319,7 +319,7 @@ func TestFileStoreSweepsTempOrphans(t *testing.T) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	orphans := []string{".frapp-ckpt-123", ".frapp-state-456"}
+	orphans := []string{".frapp-ckpt-123", ".frapp-ckpt-456"}
 	for _, name := range orphans {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte("orphan"), 0o644); err != nil {
 			t.Fatal(err)
@@ -335,80 +335,26 @@ func TestFileStoreSweepsTempOrphans(t *testing.T) {
 	}
 }
 
-func TestFileStoreMigratesLegacySingleFileState(t *testing.T) {
-	for _, name := range testSchemes {
-		t.Run(name, func(t *testing.T) {
-			scheme := testScheme(t, name)
-			recs := testRecords(t, 50, 17)
-			path := filepath.Join(t.TempDir(), "state.gob")
-
-			// A legacy deployment's single-file state at the -state path.
-			legacy := referenceCounter(t, scheme, recs)
-			f, err := os.Create(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := legacy.Save(f); err != nil {
-				t.Fatal(err)
-			}
-			f.Close()
-
-			st, err := Open(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			recovered, err := st.Recover(scheme, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if recovered == nil {
-				t.Fatal("migrated store recovered nothing")
-			}
-			countersMatch(t, legacy, recovered)
-			if err := st.Attach(recovered); err != nil {
-				t.Fatal(err)
-			}
-			// The migrated payload is deleted only after its content is
-			// durable in the first real checkpoint.
-			if _, err := os.Stat(filepath.Join(path, "legacy-state.gob")); !errors.Is(err, os.ErrNotExist) {
-				t.Fatal("legacy state file survived the boot checkpoint")
-			}
-			st.Close()
-
-			st2, err := Open(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			again, err := st2.Recover(scheme, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			countersMatch(t, legacy, again)
-		})
-	}
-}
-
-func TestFileStoreZeroByteLegacyStateIsActionableError(t *testing.T) {
+// TestFileStoreRefusesSingleFileState: a regular file at the store path
+// is a single-file state this store no longer reads. Open refuses it
+// with an error naming the path and both ways forward, and leaves the
+// file where it is.
+func TestFileStoreRefusesSingleFileState(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "state.gob")
-	if err := os.WriteFile(path, nil, 0o644); err != nil {
+	if err := os.WriteFile(path, []byte("single-file state"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
+	_, err := Open(path)
+	if !errors.Is(err, ErrStore) {
+		t.Fatalf("Open on a regular file: %v, want ErrStore", err)
 	}
-	_, err = st.Recover(testScheme(t, mining.SchemeGamma), 1)
-	if err == nil {
-		t.Fatal("zero-byte state accepted")
+	for _, want := range []string{path, "earlier frapp-server release", "migrates", "move it aside"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not name %q", err, want)
+		}
 	}
-	if !errors.Is(err, mining.ErrCorruptState) {
-		t.Fatalf("error %v does not wrap ErrCorruptState", err)
-	}
-	if !strings.Contains(err.Error(), "legacy-state.gob") || !strings.Contains(err.Error(), "backup") {
-		t.Fatalf("error %q names neither the file nor a recovery option", err)
-	}
-	if strings.Contains(strings.ToLower(err.Error()), "gob: ") {
-		t.Fatalf("error %q leaks raw decoder internals as its headline", err)
+	if info, err := os.Stat(path); err != nil || !info.Mode().IsRegular() {
+		t.Fatalf("refused state file was touched: %v", err)
 	}
 }
 
