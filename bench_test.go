@@ -702,22 +702,7 @@ func benchQueryData(b *testing.B, n int) (*dataset.Database, core.UniformMatrix,
 	if err != nil {
 		b.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(23))
-	filters := make([]mining.Itemset, 32)
-	for i := range filters {
-		arity := 1 + rng.Intn(3)
-		perm := rng.Perm(db.Schema.M())[:arity]
-		items := make([]mining.Item, arity)
-		for k, j := range perm {
-			items[k] = mining.Item{Attr: j, Value: rng.Intn(db.Schema.Attrs[j].Cardinality())}
-		}
-		f, err := mining.NewItemset(items...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		filters[i] = f
-	}
-	return pdb, m, filters
+	return pdb, m, benchFilters(b, 3, 23)
 }
 
 // BenchmarkQueryCounterVsScan compares one /v1/query-sized batch (32
@@ -761,6 +746,109 @@ func BenchmarkQueryCounterVsScan(b *testing.B) {
 			}
 		})
 	}
+}
+
+// --- Boolean-scheme live counters: queries and batched ingest ---
+
+// benchBoolRecords draws n perturbed CENSUS boolean records with every
+// item present independently with probability 1/2 — any item set is a
+// valid MASK or cut-and-paste submission — so n = 520k records yields
+// about 500k distinct rows out of the 2^23 possible.
+func benchBoolRecords(b *testing.B, n int, seed int64) [][]mining.Item {
+	b.Helper()
+	sc := dataset.CensusSchema()
+	rng := rand.New(rand.NewSource(seed))
+	out := make([][]mining.Item, n)
+	for i := range out {
+		var items []mining.Item
+		for j, a := range sc.Attrs {
+			for v := 0; v < a.Cardinality(); v++ {
+				if rng.Intn(2) == 1 {
+					items = append(items, mining.Item{Attr: j, Value: v})
+				}
+			}
+		}
+		out[i] = items
+	}
+	return out
+}
+
+// benchBoolCounter builds a 2-shard live counter of the named boolean
+// scheme and ingests records in 4096-record batches.
+func benchBoolCounter(b *testing.B, scheme string, records [][]mining.Item) *mining.ShardedCounter {
+	b.Helper()
+	cs, err := mining.SchemeForContract(scheme, dataset.CensusSchema(), 19)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctr, err := mining.NewShardedCounter(cs, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for lo := 0; lo < len(records); lo += 4096 {
+		if err := ctr.IngestBatch(records[lo:min(lo+4096, len(records))]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return ctr
+}
+
+// benchFilters draws 32 CENSUS filters of arity 1..maxArity.
+func benchFilters(b *testing.B, maxArity int, seed int64) []mining.Itemset {
+	b.Helper()
+	sc := dataset.CensusSchema()
+	rng := rand.New(rand.NewSource(seed))
+	filters := make([]mining.Itemset, 32)
+	for i := range filters {
+		arity := 1 + rng.Intn(maxArity)
+		items := make([]mining.Item, arity)
+		for k, j := range rng.Perm(sc.M())[:arity] {
+			items[k] = mining.Item{Attr: j, Value: rng.Intn(sc.Attrs[j].Cardinality())}
+		}
+		f, err := mining.NewItemset(items...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		filters[i] = f
+	}
+	return filters
+}
+
+// BenchmarkQueryBooleanCounter answers one /v1/query-sized batch (32
+// filters) from MASK and cut-and-paste live counters holding about 500k
+// distinct perturbed rows. Filters of arity <= 2 resolve from the bit
+// moments the counter keeps at ingest; a batch with arity-3 filters
+// also sweeps the distinct rows once for those.
+func BenchmarkQueryBooleanCounter(b *testing.B) {
+	records := benchBoolRecords(b, 520_000, 31)
+	for _, scheme := range []string{mining.SchemeMask, mining.SchemeCutPaste} {
+		ctr := benchBoolCounter(b, scheme, records)
+		for _, maxArity := range []int{2, 3} {
+			filters := benchFilters(b, maxArity, 32)
+			b.Run(fmt.Sprintf("%s/arity<=%d", scheme, maxArity), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, _, err := ctr.Estimates(filters); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkBooleanIngestBatch measures the per-record cost of MASK
+// ingest in 4096-record batches over 2 shards — the shape of a binary
+// submit-batch into a durable MASK collection.
+func BenchmarkBooleanIngestBatch(b *testing.B) {
+	records := benchBoolRecords(b, 4096, 33)
+	ctr := benchBoolCounter(b, mining.SchemeMask, records)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := ctr.IngestBatch(records); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(records)), "ns/record")
 }
 
 // BenchmarkPerturbParallel vs the serial DET-GD throughput bench:

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"sync"
 
 	"repro/internal/dataset"
 	"repro/internal/linalg"
@@ -29,6 +30,12 @@ type CutPasteScheme struct {
 	Mapping *BoolMapping
 	K       int
 	Rho     float64
+
+	// partialLU caches the LU factorization of PartialSupportMatrix(l)
+	// by l (int → *linalg.LU): the matrix depends only on the operator
+	// parameters, so every reconstruction of a length-l itemset reuses
+	// one factorization.
+	partialLU sync.Map
 }
 
 // NewCutPasteScheme validates the operator parameters.
@@ -277,11 +284,19 @@ func (s *CutPasteScheme) ReconstructPartialCounts(y []float64) (float64, error) 
 	if l < 1 || l > s.Mapping.Schema.M() {
 		return 0, fmt.Errorf("%w: partial support vector length %d out of [2,%d]", ErrPerturb, len(y), s.Mapping.Schema.M()+1)
 	}
-	a, err := s.PartialSupportMatrix(l)
-	if err != nil {
-		return 0, err
+	f, ok := s.partialLU.Load(l)
+	if !ok {
+		a, err := s.PartialSupportMatrix(l)
+		if err != nil {
+			return 0, err
+		}
+		lu, err := linalg.Factor(a)
+		if err != nil {
+			return 0, err
+		}
+		f, _ = s.partialLU.LoadOrStore(l, lu)
 	}
-	x, err := linalg.Solve(a, y)
+	x, err := f.(*linalg.LU).Solve(y)
 	if err != nil {
 		return 0, err
 	}

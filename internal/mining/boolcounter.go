@@ -25,12 +25,20 @@ import (
 // replication-delta protocol speaks (cell index = row bitset), so MASK
 // and C&P counters get sharding, persistence, and federation through the
 // same plumbing as gamma. Safe for concurrent use.
+//
+// Beside the rows the core keeps their bit moments (see bitmoments.go),
+// updated under the same lock, so a read batch resolves every candidate
+// of length <= 2 in O(1) from N and the moment table; only candidates
+// of length >= 3 cost one sweep over the distinct rows.
 type boolCore struct {
 	est boolEstimator
 
 	mu   sync.RWMutex
 	n    int
 	rows map[uint64]float64
+	// mom is the bit-moment table over the rows, nil until the first
+	// write (an idle window bucket carries none).
+	mom []float64
 }
 
 // boolEstimator is the per-scheme reconstruction behind a boolCore:
@@ -93,7 +101,29 @@ func (c *boolCore) Ingest(items []Item) error {
 	defer c.mu.Unlock()
 	c.rows[row]++
 	c.n++
+	addRowMoment(c.momentsLocked(), row, 1)
 	return nil
+}
+
+// momentsLocked returns the moment table, allocating it on first use.
+// The caller holds c.mu for writing.
+func (c *boolCore) momentsLocked() []float64 {
+	if c.mom == nil {
+		c.mom = make([]float64, momentCount(c.est.mapping().Mb))
+	}
+	return c.mom
+}
+
+// addMomentsLocked adds a moment table into the core's. The caller
+// holds c.mu for writing.
+func (c *boolCore) addMomentsLocked(src []float64) {
+	if src == nil {
+		return
+	}
+	mom := c.momentsLocked()
+	for i, v := range src {
+		mom[i] += v
+	}
 }
 
 // boolPrepared is a validated batch of perturbed rows, one bitset per
@@ -128,9 +158,19 @@ func (c *boolCore) prepareIngest(records [][]Item) (preparedIngest, error) {
 }
 
 // ingestPrepared folds rows [lo, hi) of a prepared batch into the joint
-// histogram under one lock acquisition.
+// histogram under one lock acquisition. A span of at least 64 rows has
+// its moments computed by the transpose kernel into a stack-local table
+// before the lock is taken, so the lock covers only the map increments
+// and one table add; a shorter span adds its rows' moments one by one.
 func (c *boolCore) ingestPrepared(p preparedIngest, lo, hi int) time.Duration {
 	rows := p.(boolPrepared).rows[lo:hi]
+	var local [maxMoments]uint64
+	var tab []uint64
+	if len(rows) >= 64 {
+		mb := c.est.mapping().Mb
+		tab = local[:momentCount(mb)]
+		addRowsMoments(tab, rows, mb)
+	}
 	t0 := time.Now()
 	c.mu.Lock()
 	wait := time.Since(t0)
@@ -139,6 +179,16 @@ func (c *boolCore) ingestPrepared(p preparedIngest, lo, hi int) time.Duration {
 		c.rows[row]++
 	}
 	c.n += len(rows)
+	mom := c.momentsLocked()
+	if tab != nil {
+		for i, v := range tab {
+			mom[i] += float64(v)
+		}
+	} else {
+		for _, row := range rows {
+			addRowMoment(mom, row, 1)
+		}
+	}
 	return wait
 }
 
@@ -188,6 +238,7 @@ func (c *boolCore) Merge(other CounterCore) error {
 		c.rows[row] += cnt
 	}
 	c.n += o.n
+	c.addMomentsLocked(o.mom)
 	return nil
 }
 
@@ -203,12 +254,14 @@ func (c *boolCore) ApplyDelta(d *CounterDelta) error {
 			return fmt.Errorf("%w: delta cell index %d outside boolean domain 2^%d", ErrMining, cell.Idx, c.est.mapping().Mb)
 		}
 	}
+	mom := cellMoments(d.Cells, c.est.mapping().Mb)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, cell := range d.Cells {
 		c.rows[cell.Idx] += cell.Count
 	}
 	c.n += d.Records
+	c.addMomentsLocked(mom)
 	return nil
 }
 
@@ -221,6 +274,7 @@ func (c *boolCore) foldInto(dst CounterCore) {
 		d.rows[row] += cnt
 	}
 	d.n += c.n
+	d.addMomentsLocked(c.mom)
 }
 
 // addJointInto folds the sparse joint histogram into the accumulator.
@@ -272,12 +326,18 @@ func (c *boolCore) restoreShard(sh shardState) error {
 	if diff := sum - float64(sh.N); diff > 1e-6 || diff < -1e-6 {
 		return fmt.Errorf("%w: state cells total %v, want %d records", ErrMining, sum, sh.N)
 	}
+	mom := cellMoments(sh.Cells, c.est.mapping().Mb)
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if len(c.rows) == 0 {
+		// Size the map once instead of growing it cell by cell.
+		c.rows = make(map[uint64]float64, len(sh.Cells))
+	}
 	for _, cell := range sh.Cells {
 		c.rows[cell.Idx] += cell.Count
 	}
 	c.n += sh.N
+	c.addMomentsLocked(mom)
 	return nil
 }
 
@@ -318,6 +378,7 @@ type boolBatch struct {
 	cands  []Itemset
 	bitPos [][]int     // item bit positions, nil for the empty itemset
 	counts [][]float64 // 2^l pattern counts, nil for the empty itemset
+	long   []int       // indices of the candidates of length >= 3
 	total  int
 }
 
@@ -354,23 +415,54 @@ func (c *boolCore) prepare(candidates []Itemset) (counterBatch, error) {
 		}
 		b.bitPos[i] = pos
 		b.counts[i] = make([]float64, 1<<uint(l))
+		if l >= 3 {
+			b.long = append(b.long, i)
+		}
 	}
 	return b, nil
 }
 
 // gather folds this core's pattern counts into the batch under the
-// core's read lock: one sweep over the distinct perturbed rows serves
-// every candidate.
+// core's read lock. Candidates of length 1 and 2 resolve in O(1) from N
+// and the moment table; one sweep over the distinct perturbed rows
+// serves all longer candidates, and is skipped when there are none. The
+// counts are exact integers either way, so the estimates are those of a
+// full sweep.
 func (c *boolCore) gather(cb counterBatch) {
 	b := cb.(*boolBatch)
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	b.total += c.n
+	n := float64(c.n)
+	// moment returns S(xy) for bits x <= y (candidate bits ascend with
+	// the canonical attribute order).
+	moment := func(x, y int) float64 {
+		if c.mom == nil {
+			return 0
+		}
+		return c.mom[tri(x, y)]
+	}
+	for i, pos := range b.bitPos {
+		cnt := b.counts[i]
+		switch len(pos) {
+		case 1:
+			sa := moment(pos[0], pos[0])
+			cnt[0] += n - sa
+			cnt[1] += sa
+		case 2:
+			sa, sb, sab := moment(pos[0], pos[0]), moment(pos[1], pos[1]), moment(pos[0], pos[1])
+			cnt[0] += n - sa - sb + sab
+			cnt[1] += sa - sab
+			cnt[2] += sb - sab
+			cnt[3] += sab
+		}
+	}
+	if len(b.long) == 0 {
+		return
+	}
 	for row, cnt := range c.rows {
-		for i, pos := range b.bitPos {
-			if pos == nil {
-				continue
-			}
+		for _, i := range b.long {
+			pos := b.bitPos[i]
 			idx := 0
 			for k, bit := range pos {
 				if row&(1<<uint(bit)) != 0 {

@@ -21,11 +21,13 @@ type PerturbedCounter interface {
 // CounterEngine answers filter-count queries directly from an
 // incrementally materialized counter instead of the Engine's O(N)
 // record scan per filter: a gamma batch costs O(#filters)
-// merged-histogram lookups; a boolean-scheme batch sweeps the counter's
-// sparse joint histogram of distinct perturbed rows once for the whole
-// batch. It is safe for concurrent use whenever the underlying counter
-// is, so the collection service serves interactive queries from the
-// live ingestion counter without snapshotting or pausing submissions.
+// merged-histogram lookups; a boolean-scheme batch resolves filters of
+// arity <= 2 in O(#filters) from the counter's bit moments, and sweeps
+// its sparse joint histogram of distinct perturbed rows once for all
+// longer filters. It is safe for concurrent use whenever the underlying
+// counter is, so the collection service serves interactive queries from
+// the live ingestion counter without snapshotting or pausing
+// submissions.
 //
 // Two construction paths exist: NewCounterEngine binds a gamma-diagonal
 // matrix to any PerturbedCounter and inverts raw counts itself (the

@@ -16,12 +16,13 @@ import (
 // filter-count queries (attr=value conjunctions) with reconstructed
 // estimates and 95% confidence intervals, straight from the live
 // sharded counter — never a scan over stored records (the server does
-// not store records at all). Per-batch cost is scheme-dependent: gamma
-// answers in O(#filters) merged-shard histogram lookups; the boolean
-// schemes sweep their sparse joint histogram of DISTINCT perturbed rows
-// (their minimal sufficient state), so a batch costs
-// O(distinct rows × #filters) — still record-free and bounded by the
-// boolean domain, but not size-independent.
+// not store records at all). Per-batch cost: gamma answers in
+// O(#filters) merged-shard histogram lookups; the boolean schemes answer
+// filters of arity <= 2 in O(#filters) from the bit moments (per-bit
+// and pairwise counts) their counters keep at ingest, and longer filters
+// cost one sweep of the sparse histogram of DISTINCT perturbed rows for
+// the whole batch — record-free either way, but only that sweep grows
+// with the collection.
 //
 // Results follow the same snapshot-version discipline as mining jobs:
 // every response reports the (counter generation, snapshot version)
@@ -29,10 +30,8 @@ import (
 // client that still observes the same pair in /v1/stats may keep
 // reusing the response. The generation matters because a counter swap
 // restarts the version line; the version alone could alias two
-// different collections across a swap. Queries are cheap enough
-// (microseconds against the materialized histograms) that no
-// server-side result cache is needed — the stamps exist so CLIENTS can
-// cache.
+// different collections across a swap. No server-side result cache is
+// kept — the stamps exist so CLIENTS can cache.
 
 // defaultQueryLimit caps the number of filters in one batch.
 const defaultQueryLimit = 1024
