@@ -461,8 +461,10 @@ func BenchmarkAblationCounterMaterialized(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := counter.AddDatabase(pdb); err != nil {
-		b.Fatal(err)
+	for _, rec := range pdb.Records {
+		if err := counter.Ingest(recordItems(rec)); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -484,35 +486,30 @@ func BenchmarkMaterializedInsert(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rec := dataset.Record{0, 1, 1, 0, 1, 0}
+	items := recordItems(dataset.Record{0, 1, 1, 0, 1, 0})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := counter.Add(rec); err != nil {
+		if err := counter.Ingest(items); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
+// recordItems converts a categorical record into the item list Ingest
+// accepts: one item per attribute.
+func recordItems(rec dataset.Record) []mining.Item {
+	items := make([]mining.Item, len(rec))
+	for j, v := range rec {
+		items[j] = mining.Item{Attr: j, Value: v}
+	}
+	return items
+}
+
 // --- Concurrent ingestion: single-mutex vs sharded counter ---
-
-// ingestCounter is the submission-side surface shared by the
-// single-striped and sharded counters.
-type ingestCounter interface {
-	Add(dataset.Record) error
-	Snapshot() mining.SupportCounter
-}
-
-// singleCounter adapts the single-mutex counter's concrete Snapshot to
-// the shared bench surface.
-type singleCounter struct {
-	*mining.MaterializedGammaCounter
-}
-
-func (s singleCounter) Snapshot() mining.SupportCounter { return s.MaterializedGammaCounter.Snapshot() }
 
 // benchConcurrentIngest splits b.N submissions across g goroutines — the
 // shape of g HTTP handlers draining a busy submit endpoint.
-func benchConcurrentIngest(b *testing.B, c ingestCounter, g int) {
+func benchConcurrentIngest(b *testing.B, c *mining.ShardedCounter, g int) {
 	b.Helper()
 	recs := [4]dataset.Record{
 		{0, 1, 1, 0, 1, 0},
@@ -533,12 +530,12 @@ func benchConcurrentIngest(b *testing.B, c ingestCounter, g int) {
 	}
 }
 
-// BenchmarkConcurrentIngest compares ingestion throughput of the
-// single-mutex MaterializedGammaCounter against the lock-striped
-// ShardedGammaCounter under 1, 4, and 8 concurrent submitters. The
-// single counter serializes every O(M·2^M) histogram update on one lock,
-// so its throughput is flat in the submitter count; the sharded counter
-// is expected to scale roughly linearly up to the core count.
+// BenchmarkConcurrentIngest compares ingestion throughput of a
+// one-shard counter (a single mutex) against a counter striped over one
+// shard per core, under 1, 4, and 8 concurrent submitters. The single
+// shard serializes every O(M·2^M) histogram update on one lock, so its
+// throughput is flat in the submitter count; the striped counter is
+// expected to scale roughly linearly up to the core count.
 func BenchmarkConcurrentIngest(b *testing.B) {
 	sc := dataset.CensusSchema()
 	m, err := core.NewGammaDiagonal(sc.DomainSize(), 19)
@@ -547,11 +544,11 @@ func BenchmarkConcurrentIngest(b *testing.B) {
 	}
 	for _, g := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("single/submitters=%d", g), func(b *testing.B) {
-			c, err := mining.NewMaterializedGammaCounter(sc, m)
+			c, err := mining.NewShardedGammaCounter(sc, m, 1)
 			if err != nil {
 				b.Fatal(err)
 			}
-			benchConcurrentIngest(b, singleCounter{c}, g)
+			benchConcurrentIngest(b, c, g)
 		})
 		b.Run(fmt.Sprintf("sharded/submitters=%d", g), func(b *testing.B) {
 			c, err := mining.NewShardedGammaCounter(sc, m, 0)
@@ -576,7 +573,7 @@ func BenchmarkConcurrentIngestAndMine(b *testing.B) {
 		b.Fatal(err)
 	}
 	const submitters = 4
-	run := func(b *testing.B, c ingestCounter) {
+	run := func(b *testing.B, c *mining.ShardedCounter) {
 		// Seed so the miner always has data.
 		if err := c.Add(dataset.Record{0, 1, 1, 0, 1, 0}); err != nil {
 			b.Fatal(err)
@@ -605,11 +602,11 @@ func BenchmarkConcurrentIngestAndMine(b *testing.B) {
 		minerWg.Wait()
 	}
 	b.Run("single", func(b *testing.B) {
-		c, err := mining.NewMaterializedGammaCounter(sc, m)
+		c, err := mining.NewShardedGammaCounter(sc, m, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		run(b, singleCounter{c})
+		run(b, c)
 	})
 	b.Run("sharded", func(b *testing.B) {
 		c, err := mining.NewShardedGammaCounter(sc, m, 0)
@@ -734,7 +731,7 @@ func BenchmarkQueryCounterVsScan(b *testing.B) {
 			if err := ctr.AddDatabase(pdb); err != nil {
 				b.Fatal(err)
 			}
-			eng, err := query.NewCounterEngine(ctr, m)
+			eng, err := query.NewLiveCounterEngine(ctr)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -71,9 +71,10 @@ func main() {
 			describe(filters[i]), est.Count, est.StdErr, est.Lo, est.Hi, truth, bracket)
 	}
 
-	// The same estimator is available offline, straight over a counter,
-	// without the HTTP layer (frapp.NewCounterQueryEngine); the service
-	// path above is that engine wired to the live ingestion counter.
+	// The same estimator is available in process, straight over a live
+	// counter, without the HTTP layer (frapp.NewLiveCounterQueryEngine);
+	// the service path above is that engine wired to the live ingestion
+	// counter.
 }
 
 // describe renders a filter for the table.

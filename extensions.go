@@ -129,9 +129,6 @@ var (
 	// boolean schemes seal their parameters through CounterScheme
 	// fingerprints instead.
 	CounterCompatibilityFingerprint = mining.CompatibilityFingerprint
-	// NewShardedFromSnapshot wraps a frozen merged gamma counter for
-	// serving; NewLiveFromCore is the scheme-generic form.
-	NewShardedFromSnapshot = mining.NewShardedFromSnapshot
 )
 
 // Discretization (see internal/dataset).
@@ -178,13 +175,6 @@ var (
 	ClosedItemsets = mining.Closed
 )
 
-// MaterializedCounter incrementally maintains every marginal histogram
-// so repeated mining queries never rescan submissions.
-type MaterializedCounter = mining.MaterializedGammaCounter
-
-// NewMaterializedCounter builds the incremental counter.
-var NewMaterializedCounter = mining.NewMaterializedGammaCounter
-
 // PerturbDatabaseParallel perturbs with a worker pool; deterministic in
 // (database, perturber, seed, workers).
 var PerturbDatabaseParallel = core.PerturbDatabaseParallel
@@ -194,16 +184,11 @@ type (
 	// QueryEngine answers filter-count queries by scanning a perturbed
 	// database, with variance-based confidence intervals.
 	QueryEngine = query.Engine
-	// CounterQueryEngine answers the same queries from an incrementally
-	// materialized counter in O(#filters) merged-observable lookups — the
-	// collection service's live /v1/query path, usable directly over any
-	// live counter (NewLiveCounterQueryEngine, any scheme) or gamma
-	// counter (NewCounterQueryEngine).
+	// CounterQueryEngine answers the same queries from a live counter
+	// through the counter's own scheme estimator — the collection
+	// service's /v1/query path, usable directly over any LiveCounter
+	// (NewLiveCounterQueryEngine).
 	CounterQueryEngine = query.CounterEngine
-	// PerturbedSupportCounter is the counter surface the counter-backed
-	// query engine needs: raw perturbed match counts plus the record
-	// count of the same sweep.
-	PerturbedSupportCounter = query.PerturbedCounter
 	// CountEstimate is a reconstructed count with its 95% CI.
 	CountEstimate = query.Estimate
 )
@@ -212,10 +197,8 @@ var (
 	// NewQueryEngine builds the record-scan engine for one perturbed
 	// database.
 	NewQueryEngine = query.NewEngine
-	// NewCounterQueryEngine builds the counter-backed engine over a
-	// gamma counter; NewLiveCounterQueryEngine builds the scheme-generic
-	// engine over any LiveCounter.
-	NewCounterQueryEngine     = query.NewCounterEngine
+	// NewLiveCounterQueryEngine builds the counter-backed engine over
+	// any LiveCounter, whatever its scheme.
 	NewLiveCounterQueryEngine = query.NewLiveCounterEngine
 	// ReconstructCountEstimate is the shared estimator core: marginal
 	// inversion of a perturbed match count with standard error and 95%

@@ -174,8 +174,9 @@ var (
 	Apriori = mining.Apriori
 	// NewGammaCounter reconstructs supports from gamma-perturbed data.
 	NewGammaCounter = mining.NewGammaCounter
-	// NewMaterializedGammaCounter builds the incremental counter of the
-	// collection service (instant mining, single-striped ingestion).
+	// NewMaterializedGammaCounter builds one gamma counting core: every
+	// subset histogram materialized, so mining never rescans records.
+	// Live counters stripe several of these (NewShardedGammaCounter).
 	NewMaterializedGammaCounter = mining.NewMaterializedGammaCounter
 	// NewShardedGammaCounter builds the lock-striped incremental counter
 	// (linearly scalable concurrent ingestion) under the gamma scheme.
@@ -205,8 +206,9 @@ type ExactCounter = mining.ExactCounter
 // GammaCounter reconstructs supports under gamma-diagonal perturbation.
 type GammaCounter = mining.GammaCounter
 
-// MaterializedGammaCounter incrementally materializes every subset
-// histogram so mining never rescans submissions.
+// MaterializedGammaCounter is the gamma scheme's counting core: it
+// incrementally materializes every subset histogram so mining never
+// rescans submissions. A ShardedCounter stripes ingestion over several.
 type MaterializedGammaCounter = mining.MaterializedGammaCounter
 
 // LiveCounter is the scheme-polymorphic live ingestion counter: the one
@@ -239,8 +241,8 @@ type PointEstimate = mining.PointEstimate
 // with every ingested record, letting callers cache mining results for
 // as long as the counter content is provably unchanged — the mechanism
 // behind the collection service's asynchronous mining jobs — and
-// answers raw perturbed match counts (PerturbedSupports) and
-// scheme-correct query estimates (Estimates) without scanning records.
+// answers reconstructed supports (Supports) and scheme-correct query
+// estimates (Estimates) without scanning records.
 type ShardedCounter = mining.ShardedCounter
 
 // MaskCounter reconstructs supports under MASK perturbation.

@@ -34,7 +34,7 @@ func batchChunks(records [][]Item) [][][]Item {
 // TestLiveSchemesIngestBatchMatchesSequential: for every scheme, a
 // counter fed via IngestBatch in ragged chunks must agree exactly with
 // a counter fed the same records one Ingest at a time — N, Version,
-// Supports, and PerturbedSupports at arities 0..3.
+// Supports, and Estimates at arities 0..3.
 func TestLiveSchemesIngestBatchMatchesSequential(t *testing.T) {
 	db := buildSkewedDB(t, 3000, 181)
 	schema := db.Schema
@@ -74,11 +74,11 @@ func TestLiveSchemesIngestBatchMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			seqPert, _, err := seq.PerturbedSupports(probes)
+			seqEst, _, err := seq.Estimates(probes)
 			if err != nil {
 				t.Fatal(err)
 			}
-			batPert, _, err := bat.PerturbedSupports(probes)
+			batEst, _, err := bat.Estimates(probes)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -86,8 +86,8 @@ func TestLiveSchemesIngestBatchMatchesSequential(t *testing.T) {
 				if math.Abs(seqSup[i]-batSup[i]) > 1e-9 {
 					t.Errorf("probe %d: support sequential %g, batched %g", i, seqSup[i], batSup[i])
 				}
-				if math.Abs(seqPert[i]-batPert[i]) > 1e-9 {
-					t.Errorf("probe %d: perturbed support sequential %g, batched %g", i, seqPert[i], batPert[i])
+				if math.Abs(seqEst[i].Count-batEst[i].Count) > 1e-9 || math.Abs(seqEst[i].StdErr-batEst[i].StdErr) > 1e-9 {
+					t.Errorf("probe %d: estimate sequential %+v, batched %+v", i, seqEst[i], batEst[i])
 				}
 			}
 		})
@@ -108,10 +108,12 @@ func corruptBatch(records [][]Item, mutate func([]Item) []Item) [][]Item {
 
 // TestIngestBatchRejectsInvalidAtomically: a batch containing one
 // invalid record — mid-batch, after many valid ones — must fail with
-// ErrMining and leave N, the snapshot version, and every support
-// exactly unchanged. This is the regression test for the service
-// layer's partial-ingest bug: atomicity lives in the counter, not in
-// handler bookkeeping.
+// ErrMining and leave N, the snapshot version, and every support and
+// estimate exactly unchanged. This is the regression test for the
+// service layer's partial-ingest bug: atomicity lives in the counter,
+// not in handler bookkeeping. Single-record Ingest shares the batch
+// validator, so the same corrupt record fed on its own must be
+// rejected the same way.
 func TestIngestBatchRejectsInvalidAtomically(t *testing.T) {
 	db := buildSkewedDB(t, 1200, 191)
 	schema := db.Schema
@@ -143,32 +145,48 @@ func TestIngestBatchRejectsInvalidAtomically(t *testing.T) {
 				t.Fatal(err)
 			}
 			wantN, wantVer := ctr.N(), ctr.Version()
-			wantSup, _, err := ctr.PerturbedSupports(probes)
+			wantSup, err := ctr.Supports(probes)
 			if err != nil {
 				t.Fatal(err)
+			}
+			wantEst, _, err := ctr.Estimates(probes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireUnchanged := func(t *testing.T, what string) {
+				t.Helper()
+				if got := ctr.N(); got != wantN {
+					t.Errorf("N after rejected %s: got %d, want %d", what, got, wantN)
+				}
+				if got := ctr.Version(); got != wantVer {
+					t.Errorf("Version after rejected %s: got %d, want %d", what, got, wantVer)
+				}
+				gotSup, err := ctr.Supports(probes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotEst, _, err := ctr.Estimates(probes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range probes {
+					if gotSup[i] != wantSup[i] || gotEst[i] != wantEst[i] {
+						t.Errorf("probe %d changed after rejected %s: support %g estimate %+v, want %g %+v",
+							i, what, gotSup[i], gotEst[i], wantSup[i], wantEst[i])
+					}
+				}
 			}
 			for _, cr := range corruptions {
 				t.Run(cr.name, func(t *testing.T) {
 					bad := corruptBatch(records[800:], cr.mutate)
-					err := ctr.IngestBatch(bad)
-					if !errors.Is(err, ErrMining) {
+					if err := ctr.IngestBatch(bad); !errors.Is(err, ErrMining) {
 						t.Fatalf("IngestBatch with corrupt record: got %v, want ErrMining", err)
 					}
-					if got := ctr.N(); got != wantN {
-						t.Errorf("N after rejected batch: got %d, want %d", got, wantN)
+					requireUnchanged(t, "batch")
+					if err := ctr.Ingest(bad[len(bad)/2]); !errors.Is(err, ErrMining) {
+						t.Fatalf("Ingest of corrupt record: got %v, want ErrMining", err)
 					}
-					if got := ctr.Version(); got != wantVer {
-						t.Errorf("Version after rejected batch: got %d, want %d", got, wantVer)
-					}
-					gotSup, _, err := ctr.PerturbedSupports(probes)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for i := range probes {
-						if gotSup[i] != wantSup[i] {
-							t.Errorf("probe %d: perturbed support changed after rejected batch: got %g, want %g", i, gotSup[i], wantSup[i])
-						}
-					}
+					requireUnchanged(t, "record")
 				})
 			}
 			// An empty batch is a no-op, not an error, and must not

@@ -215,12 +215,11 @@ func sweepBatch(t *testing.T, cores []CounterCore, cands []Itemset) *boolBatch {
 // momentReader is the read surface held to the sweep.
 type momentReader interface {
 	Supports([]Itemset) ([]float64, error)
-	PerturbedSupports([]Itemset) ([]float64, int, error)
 	Estimates([]Itemset) ([]PointEstimate, int, error)
 }
 
 // requireSweepIdentical checks every core's moment table against its
-// rows, then Supports, PerturbedSupports and Estimates of r against the
+// rows, then Supports and Estimates of r against the
 // brute-force sweep of cores — for the full probe set (arities 0..3)
 // and for its arity <= 2 part, which never sweeps.
 func requireSweepIdentical(t *testing.T, label string, r momentReader, cores []CounterCore, probes []Itemset) {
@@ -252,7 +251,6 @@ func requireSweepIdentical(t *testing.T, label string, r momentReader, cores []C
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantRaw, wantN := b.raw()
 		wantEst, err := b.estimates()
 		if err != nil {
 			t.Fatal(err)
@@ -261,21 +259,17 @@ func requireSweepIdentical(t *testing.T, label string, r momentReader, cores []C
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotRaw, gotN, err := r.PerturbedSupports(cands)
+		gotEst, gotN, err := r.Estimates(cands)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotEst, estN, err := r.Estimates(cands)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotN != wantN || estN != wantN {
-			t.Fatalf("%s: record counts %d/%d, sweep %d", label, gotN, estN, wantN)
+		if gotN != b.records() {
+			t.Fatalf("%s: record count %d, sweep %d", label, gotN, b.records())
 		}
 		for i, c := range cands {
-			if gotSup[i] != wantSup[i] || gotRaw[i] != wantRaw[i] || gotEst[i] != wantEst[i] {
-				t.Fatalf("%s %s: support %v raw %v estimate %+v; sweep %v %v %+v",
-					label, c.Key(), gotSup[i], gotRaw[i], gotEst[i], wantSup[i], wantRaw[i], wantEst[i])
+			if gotSup[i] != wantSup[i] || gotEst[i] != wantEst[i] {
+				t.Fatalf("%s %s: support %v estimate %+v; sweep %v %+v",
+					label, c.Key(), gotSup[i], gotEst[i], wantSup[i], wantEst[i])
 			}
 		}
 	}
@@ -412,8 +406,7 @@ func TestBitMomentsWindowRotation(t *testing.T) {
 }
 
 // windowReader reads the newest buckets of a window: Estimates through
-// EstimatesWindow, Supports and PerturbedSupports through the window's
-// snapshot fold.
+// EstimatesWindow, Supports through the window's snapshot fold.
 type windowReader struct {
 	w      *WindowedCounter
 	window time.Duration
@@ -427,11 +420,6 @@ func (r windowReader) Estimates(f []Itemset) ([]PointEstimate, int, error) {
 func (r windowReader) Supports(f []Itemset) ([]float64, error) {
 	snap, _ := r.w.SnapshotWindowVersioned(r.window)
 	return snap.Supports(f)
-}
-
-func (r windowReader) PerturbedSupports(f []Itemset) ([]float64, int, error) {
-	snap, _ := r.w.SnapshotWindowVersioned(r.window)
-	return snap.(CounterCore).PerturbedSupports(f)
 }
 
 // TestBitMomentsGoldenRestore: the committed v3 MASK and C&P payloads

@@ -85,23 +85,11 @@ func (c *boolCore) N() int {
 // independently and C&P pastes arbitrary item sets — including the
 // empty set.
 func (c *boolCore) Ingest(items []Item) error {
-	m := c.est.mapping()
-	var row uint64
-	for _, it := range items {
-		b, err := m.Bit(it.Attr, it.Value)
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrMining, err)
-		}
-		if row&(1<<uint(b)) != 0 {
-			return fmt.Errorf("%w: duplicate item (attr %d, value %d) in perturbed record", ErrMining, it.Attr, it.Value)
-		}
-		row |= 1 << uint(b)
+	p, err := c.prepareIngest([][]Item{items})
+	if err != nil {
+		return err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.rows[row]++
-	c.n++
-	addRowMoment(c.momentsLocked(), row, 1)
+	c.ingestPrepared(p, 0, 1)
 	return nil
 }
 
@@ -171,9 +159,7 @@ func (c *boolCore) ingestPrepared(p preparedIngest, lo, hi int) time.Duration {
 		tab = local[:momentCount(mb)]
 		addRowsMoments(tab, rows, mb)
 	}
-	t0 := time.Now()
-	c.mu.Lock()
-	wait := time.Since(t0)
+	wait := lockTimed(&c.mu)
 	defer c.mu.Unlock()
 	for _, row := range rows {
 		c.rows[row]++
@@ -200,19 +186,6 @@ func (c *boolCore) Supports(candidates []Itemset) ([]float64, error) {
 	}
 	c.gather(b)
 	return b.supports()
-}
-
-// PerturbedSupports returns raw full-match counts (the number of
-// perturbed rows containing every item of the candidate) plus the
-// record count of the same locked read.
-func (c *boolCore) PerturbedSupports(candidates []Itemset) ([]float64, int, error) {
-	b, err := c.prepare(candidates)
-	if err != nil {
-		return nil, 0, err
-	}
-	c.gather(b)
-	ys, n := b.raw()
-	return ys, n, nil
 }
 
 // Merge additively combines another core of the same fingerprint.
@@ -492,20 +465,6 @@ func (b *boolBatch) supports() ([]float64, error) {
 		out[i] = est
 	}
 	return out, nil
-}
-
-// raw resolves each candidate's full-match count — the all-bits-present
-// pattern cell, the boolean analogue of gamma's Y_L.
-func (b *boolBatch) raw() ([]float64, int) {
-	out := make([]float64, len(b.cands))
-	for i := range b.cands {
-		if b.bitPos[i] == nil {
-			out[i] = float64(b.total)
-			continue
-		}
-		out[i] = b.counts[i][len(b.counts[i])-1]
-	}
-	return out, b.total
 }
 
 // estimates resolves each candidate into (point estimate, stderr). The

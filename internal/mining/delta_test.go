@@ -275,11 +275,11 @@ func TestMergeMatchesUnion(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 20+site*7; i++ {
-			rec := randomRecord(s, rng)
-			if err := part.Add(rec); err != nil {
+			rec := recordItems(randomRecord(s, rng))
+			if err := part.Ingest(rec); err != nil {
 				t.Fatal(err)
 			}
-			if err := union.Add(rec); err != nil {
+			if err := union.Ingest(rec); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -385,20 +385,26 @@ func TestFingerprintSensitivity(t *testing.T) {
 	}
 }
 
-func TestNewShardedFromSnapshotServesMergedState(t *testing.T) {
+// TestNewLiveFromCoreServesMergedState: a frozen core wrapped as a
+// live counter (a federation coordinator's merged view) answers reads,
+// serves replication deltas and saves like any live counter.
+func TestNewLiveFromCoreServesMergedState(t *testing.T) {
 	s := deltaTestSchema(t)
 	m := deltaTestMatrix(t, s)
 	rng := rand.New(rand.NewSource(23))
-	src, err := NewMaterializedGammaCounter(s, m)
+	scheme, err := NewGammaScheme(s, m)
 	if err != nil {
 		t.Fatal(err)
 	}
+	src := scheme.NewCore().(*MaterializedGammaCounter)
 	for i := 0; i < 30; i++ {
-		if err := src.Add(randomRecord(s, rng)); err != nil {
+		if err := src.Ingest(recordItems(randomRecord(s, rng))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	wrapped := NewShardedFromSnapshot(src.Snapshot())
+	frozen := scheme.NewCore()
+	src.foldInto(frozen)
+	wrapped := NewLiveFromCore(scheme, frozen)
 	if wrapped.N() != 30 || wrapped.Version() != 30 || wrapped.Shards() != 1 {
 		t.Fatalf("wrapped counter N=%d version=%d shards=%d", wrapped.N(), wrapped.Version(), wrapped.Shards())
 	}
@@ -434,10 +440,6 @@ func TestNewShardedFromSnapshotServesMergedState(t *testing.T) {
 	// Still save/load compatible (the persist path of a coordinator).
 	var buf bytes.Buffer
 	if err := wrapped.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	scheme, err := NewGammaScheme(s, m)
-	if err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := LoadLiveCounter(&buf, scheme, 1)

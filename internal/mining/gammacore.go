@@ -28,32 +28,24 @@ func (c *MaterializedGammaCounter) Scheme() string { return SchemeGamma }
 // scheme perturbs within the categorical domain, so a valid perturbed
 // record carries exactly one item per attribute.
 func (c *MaterializedGammaCounter) Ingest(items []Item) error {
-	if len(items) != c.schema.M() {
-		return fmt.Errorf("%w: gamma record carries %d items, schema has %d attributes", ErrMining, len(items), c.schema.M())
+	p, err := c.prepareIngest([][]Item{items})
+	if err != nil {
+		return err
 	}
-	rec := make(dataset.Record, c.schema.M())
-	seen := make([]bool, c.schema.M())
-	for _, it := range items {
-		if it.Attr < 0 || it.Attr >= c.schema.M() {
-			return fmt.Errorf("%w: attribute %d out of range", ErrMining, it.Attr)
-		}
-		if seen[it.Attr] {
-			return fmt.Errorf("%w: duplicate attribute %d in gamma record", ErrMining, it.Attr)
-		}
-		seen[it.Attr] = true
-		rec[it.Attr] = it.Value
-	}
-	return c.Add(rec)
+	c.ingestPrepared(p, 0, 1)
+	return nil
 }
 
-// gammaPrepared is a validated batch of dense categorical records. One
-// backing array holds every record, so preparation costs two slice
-// allocations per batch regardless of batch size.
+// gammaPrepared is a validated batch of n dense categorical records,
+// record i at vals[i*M:(i+1)*M]. One array holds every record, so
+// preparation costs one slice allocation per batch regardless of batch
+// size.
 type gammaPrepared struct {
-	recs []dataset.Record
+	vals []int
+	n    int
 }
 
-func (p gammaPrepared) recordCount() int { return len(p.recs) }
+func (p gammaPrepared) recordCount() int { return p.n }
 
 // prepareIngest validates each item-list record against the gamma
 // contract (exactly one in-range item per attribute, no duplicates) and
@@ -61,13 +53,12 @@ func (p gammaPrepared) recordCount() int { return len(p.recs) }
 // written — errors leave every shard untouched.
 func (c *MaterializedGammaCounter) prepareIngest(records [][]Item) (preparedIngest, error) {
 	m := c.schema.M()
-	recs := make([]dataset.Record, len(records))
-	backing := make([]int, len(records)*m)
+	vals := make([]int, len(records)*m)
 	for i, items := range records {
 		if len(items) != m {
 			return nil, fmt.Errorf("%w: record %d: gamma record carries %d items, schema has %d attributes", ErrMining, i, len(items), m)
 		}
-		rec := backing[i*m : (i+1)*m : (i+1)*m]
+		rec := vals[i*m : (i+1)*m]
 		for j := range rec {
 			rec[j] = -1
 		}
@@ -83,36 +74,30 @@ func (c *MaterializedGammaCounter) prepareIngest(records [][]Item) (preparedInge
 			}
 			rec[it.Attr] = it.Value
 		}
-		recs[i] = rec
 	}
-	return gammaPrepared{recs: recs}, nil
+	return gammaPrepared{vals: vals, n: len(records)}, nil
 }
 
 // ingestPrepared folds records [lo, hi) of a prepared batch into every
 // subset histogram under one lock acquisition. The loop runs mask-major
 // so each histogram (and its column list) stays hot across the whole
-// span — the cache behavior per-record Add cannot have.
+// span — the cache behavior a record-at-a-time loop cannot have.
 func (c *MaterializedGammaCounter) ingestPrepared(p preparedIngest, lo, hi int) time.Duration {
-	recs := p.(gammaPrepared).recs[lo:hi]
-	cards := make([]int, c.schema.M())
-	for j := range cards {
-		cards[j] = c.schema.Attrs[j].Cardinality()
-	}
-	t0 := time.Now()
-	c.mu.Lock()
-	wait := time.Since(t0)
+	m := c.schema.M()
+	vals := p.(gammaPrepared).vals[lo*m : hi*m]
+	wait := lockTimed(&c.mu)
 	defer c.mu.Unlock()
 	for mask := 1; mask < len(c.hists); mask++ {
 		cols, hist := c.cols[mask], c.hists[mask]
-		for _, rec := range recs {
+		for r := 0; r < len(vals); r += m {
 			idx := 0
 			for _, j := range cols {
-				idx = idx*cards[j] + rec[j]
+				idx = idx*c.cards[j] + vals[r+j]
 			}
 			hist[idx]++
 		}
 	}
-	c.n += len(recs)
+	c.n += hi - lo
 	return wait
 }
 
@@ -261,15 +246,6 @@ func (b *gammaBatch) rawCount(i int) float64 {
 		return float64(b.total)
 	}
 	return b.merged[rc.mask][rc.idx]
-}
-
-// raw resolves every candidate's raw perturbed match count.
-func (b *gammaBatch) raw() ([]float64, int) {
-	ys := make([]float64, len(b.routed))
-	for i := range b.routed {
-		ys[i] = b.rawCount(i)
-	}
-	return ys, b.total
 }
 
 // marginals computes one Eq. 28 marginal matrix per distinct touched

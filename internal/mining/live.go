@@ -2,6 +2,7 @@ package mining
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -80,10 +81,6 @@ type LiveCounter interface {
 	Add(rec dataset.Record) error
 	// Supports returns scheme-reconstructed support estimates.
 	Supports(candidates []Itemset) ([]float64, error)
-	// PerturbedSupports returns each candidate's RAW full-match count in
-	// the perturbed data (before any reconstruction) plus the record
-	// count of the same consistent sweep.
-	PerturbedSupports(candidates []Itemset) ([]float64, int, error)
 	// Estimates answers filter-count queries with the scheme's estimator:
 	// one consistent sweep, per-filter point estimate and standard error,
 	// and the record count every estimate is based on.
@@ -129,11 +126,12 @@ type CounterCore interface {
 	Scheme() string
 	// Fingerprint returns the core's compatibility fingerprint.
 	Fingerprint() string
-	// Ingest adds one perturbed record given as its item list.
+	// Ingest adds one perturbed record given as its item list: the
+	// batch path (prepareIngest, then ingestPrepared) over a batch of
+	// one, so single and batched ingest share one validator. Each core
+	// calls its own methods rather than going through this interface,
+	// which keeps the one-record batch off the heap.
 	Ingest(items []Item) error
-	// PerturbedSupports returns raw full-match counts plus the record
-	// count of the same locked read.
-	PerturbedSupports(candidates []Itemset) ([]float64, int, error)
 	// Merge additively combines another core of the same scheme and
 	// fingerprint into this one.
 	Merge(other CounterCore) error
@@ -152,8 +150,8 @@ type CounterCore interface {
 	// prepareIngest, so application cannot fail — the primitive that
 	// makes batched ingest all-or-nothing by construction. It returns
 	// how long the call waited to acquire the core's lock, measured at
-	// the mutex itself, so contention telemetry sees pure wait time
-	// rather than wait plus apply.
+	// the mutex itself (see lockTimed), so contention telemetry sees
+	// pure wait time rather than wait plus apply.
 	ingestPrepared(p preparedIngest, lo, hi int) (lockWait time.Duration)
 
 	// prepare validates and routes a candidate batch; gather folds this
@@ -187,14 +185,26 @@ type preparedIngest interface {
 	recordCount() int
 }
 
+// lockTimed write-locks mu and returns how long it waited for it. A
+// free lock is taken without reading the clock (two reads cost more
+// than a single-record apply), so an uncontended span reports zero.
+func lockTimed(mu *sync.RWMutex) time.Duration {
+	if mu.TryLock() {
+		return 0
+	}
+	t0 := time.Now()
+	mu.Lock()
+	return time.Since(t0)
+}
+
 // counterBatch is a prepared candidate batch: validated and routed by a
 // core's prepare, filled shard by shard via gather, then resolved into
-// supports, raw counts, or query estimates. The record count accumulates
-// across gathers, so every resolution is based on one consistent sweep.
+// supports or query estimates. The record count accumulates across
+// gathers, so every resolution is based on one consistent sweep. It is
+// the one read path of every counter.
 type counterBatch interface {
 	records() int
 	supports() ([]float64, error)
-	raw() ([]float64, int)
 	estimates() ([]PointEstimate, error)
 }
 

@@ -2,7 +2,6 @@ package mining
 
 import (
 	"fmt"
-	"math/bits"
 	"sync"
 
 	"repro/internal/core"
@@ -14,17 +13,18 @@ import (
 // arrive, so mining queries never rescan the database. Insertion costs
 // O(M·2^M) per record (fine for the paper's M ≤ 7; capped at M ≤ 16);
 // Supports then answers each candidate with a histogram lookup plus the
-// Eq. 28 closed form. It is safe for concurrent use — built for the
-// long-lived collection service, where submissions and mining queries
-// interleave.
+// Eq. 28 closed form. It is the gamma scheme's CounterCore — one shard
+// of a ShardedCounter, or a frozen snapshot of one — and is safe for
+// concurrent use.
 type MaterializedGammaCounter struct {
 	schema *dataset.Schema
 	matrix core.UniformMatrix
 
 	// cols[mask] lists the attribute positions of subset mask; hists and
-	// subSizes are parallel.
+	// subSizes are parallel. cards[j] is attribute j's cardinality.
 	cols     [][]int
 	subSizes []int
+	cards    []int
 
 	mu    sync.RWMutex
 	n     int
@@ -52,6 +52,10 @@ func NewMaterializedGammaCounter(schema *dataset.Schema, m core.UniformMatrix) (
 		cols:     make([][]int, nMasks),
 		subSizes: make([]int, nMasks),
 		hists:    make([][]float64, nMasks),
+		cards:    make([]int, schema.M()),
+	}
+	for j := range c.cards {
+		c.cards[j] = schema.Attrs[j].Cardinality()
 	}
 	for mask := 1; mask < nMasks; mask++ {
 		var cols []int
@@ -71,44 +75,6 @@ func NewMaterializedGammaCounter(schema *dataset.Schema, m core.UniformMatrix) (
 	return c, nil
 }
 
-// Add ingests one (already perturbed) record, updating every subset
-// histogram.
-func (c *MaterializedGammaCounter) Add(rec dataset.Record) error {
-	if err := c.schema.Validate(rec); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for mask := 1; mask < len(c.hists); mask++ {
-		idx := 0
-		for _, j := range c.cols[mask] {
-			idx = idx*c.schema.Attrs[j].Cardinality() + rec[j]
-		}
-		c.hists[mask][idx]++
-	}
-	c.n++
-	return nil
-}
-
-// AddDatabase ingests every record of a perturbed database.
-func (c *MaterializedGammaCounter) AddDatabase(db *dataset.Database) error {
-	return addDatabase(c.schema, c.Add, db)
-}
-
-// addDatabase feeds every record of db through add, shared by the
-// single-striped and sharded counters.
-func addDatabase(schema *dataset.Schema, add func(dataset.Record) error, db *dataset.Database) error {
-	if db.Schema != schema {
-		return fmt.Errorf("%w: database schema does not match counter schema", ErrMining)
-	}
-	for i, rec := range db.Records {
-		if err := add(rec); err != nil {
-			return fmt.Errorf("record %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
 // N returns the number of ingested records.
 func (c *MaterializedGammaCounter) N() int {
 	c.mu.RLock()
@@ -119,94 +85,14 @@ func (c *MaterializedGammaCounter) N() int {
 // Schema returns the counter's schema.
 func (c *MaterializedGammaCounter) Schema() *dataset.Schema { return c.schema }
 
-// Snapshot returns a frozen deep copy of the counter. Mining a snapshot
-// guarantees every Apriori pass sees the same record count even while
-// submissions keep arriving on the live counter.
-func (c *MaterializedGammaCounter) Snapshot() *MaterializedGammaCounter {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	cp := &MaterializedGammaCounter{
-		schema:   c.schema,
-		matrix:   c.matrix,
-		cols:     c.cols,     // immutable after construction
-		subSizes: c.subSizes, // immutable after construction
-		n:        c.n,
-		hists:    make([][]float64, len(c.hists)),
-	}
-	for mask := 1; mask < len(c.hists); mask++ {
-		h := make([]float64, len(c.hists[mask]))
-		copy(h, c.hists[mask])
-		cp.hists[mask] = h
-	}
-	return cp
-}
-
-// route validates a candidate and computes its (subset mask, histogram
-// index) — the single routing used by the reconstructed and raw support
-// paths, so the two can never diverge.
-func (c *MaterializedGammaCounter) route(cand Itemset) (mask, idx int, err error) {
-	// Validate enforces canonical strictly-increasing attribute order,
-	// so the mask cannot alias two items; the OnesCount check is a
-	// belt-and-suspenders guard.
-	if err := cand.Validate(c.schema); err != nil {
-		return 0, 0, err
-	}
-	for _, it := range cand {
-		mask |= 1 << uint(it.Attr)
-		idx = idx*c.schema.Attrs[it.Attr].Cardinality() + it.Value
-	}
-	if bits.OnesCount(uint(mask)) != cand.Len() {
-		return 0, 0, fmt.Errorf("%w: duplicate attribute in candidate %s", ErrMining, cand.Key())
-	}
-	return mask, idx, nil
-}
-
-// PerturbedSupports returns each candidate's RAW perturbed match count
-// Y_L (the histogram cell before reconstruction) plus the record count
-// N read under the same lock — the consistent (Y_L, N) pairs the
-// counter-backed query estimator needs. The empty itemset is supported
-// by every record, so its Y_L is N itself.
-func (c *MaterializedGammaCounter) PerturbedSupports(candidates []Itemset) ([]float64, int, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]float64, len(candidates))
-	for i, cand := range candidates {
-		mask, idx, err := c.route(cand)
-		if err != nil {
-			return nil, 0, err
-		}
-		if mask == 0 {
-			out[i] = float64(c.n)
-			continue
-		}
-		out[i] = c.hists[mask][idx]
-	}
-	return out, c.n, nil
-}
-
 // Supports answers candidates from the materialized histograms with the
-// Eq. 28 closed-form reconstruction.
+// Eq. 28 closed-form reconstruction, through the same prepared-batch
+// read path a sharded counter uses.
 func (c *MaterializedGammaCounter) Supports(candidates []Itemset) ([]float64, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]float64, len(candidates))
-	n := float64(c.n)
-	for i, cand := range candidates {
-		mask, idx, err := c.route(cand)
-		if err != nil {
-			return nil, err
-		}
-		if mask == 0 {
-			// Every record supports the empty itemset — exact, no
-			// reconstruction noise (matching the sharded read path).
-			out[i] = n
-			continue
-		}
-		marg, err := c.matrix.Marginal(c.subSizes[mask])
-		if err != nil {
-			return nil, err
-		}
-		out[i] = (c.hists[mask][idx] - marg.Off*n) / (marg.Diag - marg.Off)
+	b, err := c.prepare(candidates)
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	c.gather(b)
+	return b.supports()
 }

@@ -35,8 +35,10 @@ func TestMaterializedMatchesGammaCounter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mat.AddDatabase(pdb); err != nil {
-		t.Fatal(err)
+	for _, rec := range pdb.Records {
+		if err := mat.Ingest(recordItems(rec)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if mat.N() != pdb.N() || mat.Schema() != sc {
 		t.Fatal("counter metadata wrong")
@@ -94,13 +96,6 @@ func TestMaterializedValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Add(dataset.Record{9, 9, 9}); err == nil {
-		t.Fatal("invalid record accepted")
-	}
-	other := dataset.NewDatabase(dataset.CensusSchema(), 0)
-	if err := c.AddDatabase(other); !errors.Is(err, ErrMining) {
-		t.Fatal("schema mismatch accepted")
-	}
 	bad := Itemset{{Attr: 9, Value: 0}}
 	if _, err := c.Supports([]Itemset{bad}); err == nil {
 		t.Fatal("invalid candidate accepted")
@@ -141,7 +136,7 @@ func TestMaterializedConcurrentAddAndQuery(t *testing.T) {
 		go func(lo int) {
 			defer wg.Done()
 			for _, rec := range db.Records[lo : lo+per] {
-				if err := c.Add(rec); err != nil {
+				if err := c.Ingest(recordItems(rec)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -174,7 +169,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	db := buildSkewedDB(t, 2000, 44)
 	sc := db.Schema
 	m, _ := core.NewGammaDiagonal(sc.DomainSize(), 19)
-	c, err := NewMaterializedGammaCounter(sc, m)
+	c, err := NewShardedGammaCounter(sc, m, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

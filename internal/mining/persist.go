@@ -87,8 +87,13 @@ func (c *MaterializedGammaCounter) checkState(st *counterState) error {
 // saveShard deep-copies the core's state under its own lock, so
 // submissions may keep arriving while the state streams out.
 func (c *MaterializedGammaCounter) saveShard() shardState {
-	snap := c.Snapshot()
-	return shardState{N: snap.n, Hists: snap.hists}
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	hists := make([][]float64, len(c.hists))
+	for mask := 1; mask < len(c.hists); mask++ {
+		hists[mask] = append([]float64(nil), c.hists[mask]...)
+	}
+	return shardState{N: c.n, Hists: hists}
 }
 
 // restoreShard validates one shard payload against the counter's

@@ -27,11 +27,11 @@ import (
 // per-scheme reconstruction arithmetic over integer-valued counts is
 // bit-identical.
 //
-// Reads merge on demand: Supports, PerturbedSupports, and Estimates
-// prepare a candidate batch once, gather each shard's contribution under
-// that shard's own lock, and resolve from the merged observables;
-// SnapshotVersioned folds all shards into one frozen core for consistent
-// multi-pass mining.
+// Reads merge on demand: Supports and Estimates prepare a candidate
+// batch once, gather each shard's contribution under that shard's own
+// lock, and resolve from the merged observables; SnapshotVersioned
+// folds all shards into one frozen core for consistent multi-pass
+// mining.
 type ShardedCounter struct {
 	scheme CounterScheme
 	shards []CounterCore
@@ -143,19 +143,6 @@ func NewLiveFromCore(scheme CounterScheme, core CounterCore) *ShardedCounter {
 	return c
 }
 
-// NewShardedFromSnapshot wraps a frozen merged gamma counter as a
-// single-shard live counter — the gamma convenience over
-// NewLiveFromCore.
-func NewShardedFromSnapshot(snap *MaterializedGammaCounter) *ShardedCounter {
-	scheme, err := NewGammaScheme(snap.schema, snap.matrix)
-	if err != nil {
-		// Unreachable: the snapshot was built under these exact
-		// parameters.
-		panic("mining: snapshot carries invalid gamma contract: " + err.Error())
-	}
-	return NewLiveFromCore(scheme, snap)
-}
-
 // Scheme names the counter's perturbation scheme.
 func (c *ShardedCounter) Scheme() string { return c.scheme.Name() }
 
@@ -254,7 +241,15 @@ func (c *ShardedCounter) Add(rec dataset.Record) error {
 
 // AddDatabase ingests every record of a perturbed database.
 func (c *ShardedCounter) AddDatabase(db *dataset.Database) error {
-	return addDatabase(c.Schema(), c.Add, db)
+	if db.Schema != c.Schema() {
+		return fmt.Errorf("%w: database schema does not match counter schema", ErrMining)
+	}
+	for i, rec := range db.Records {
+		if err := c.Add(rec); err != nil {
+			return fmt.Errorf("record %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // N returns the total number of ingested records across all shards.
@@ -306,9 +301,9 @@ func (c *ShardedCounter) snapshotCore() (CounterCore, uint64) {
 }
 
 // batch prepares a candidate batch and gathers every shard's
-// contribution — the read path shared by Supports, PerturbedSupports,
-// and Estimates. Per-shard state is internally consistent, so the
-// merged observables describe a valid set of fully ingested records.
+// contribution — the read path shared by Supports and Estimates.
+// Per-shard state is internally consistent, so the merged observables
+// describe a valid set of fully ingested records.
 func (c *ShardedCounter) batch(candidates []Itemset) (counterBatch, error) {
 	b, err := c.shards[0].prepare(candidates)
 	if err != nil {
@@ -332,24 +327,6 @@ func (c *ShardedCounter) Supports(candidates []Itemset) ([]float64, error) {
 		return nil, err
 	}
 	return b.supports()
-}
-
-// PerturbedSupports returns each candidate's RAW full-match count in the
-// perturbed data — before any reconstruction — together with the record
-// count N observed in the same shard sweep, so (Y_L, N) pairs are
-// mutually consistent. This is the substrate of the counter-backed
-// interactive query path for the gamma scheme, whose estimator is a
-// function of Y_L/N alone.
-func (c *ShardedCounter) PerturbedSupports(candidates []Itemset) ([]float64, int, error) {
-	if len(candidates) == 0 {
-		return nil, c.N(), nil
-	}
-	b, err := c.batch(candidates)
-	if err != nil {
-		return nil, 0, err
-	}
-	ys, n := b.raw()
-	return ys, n, nil
 }
 
 // Estimates answers a batch of filter-count queries with the scheme's

@@ -32,7 +32,7 @@ func TestShardedMatchesSingleShard(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	single, err := NewMaterializedGammaCounter(sc, m)
+	single, err := NewShardedGammaCounter(sc, m, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestShardedLargeCandidateBatch(t *testing.T) {
 	db := buildSkewedDB(t, 5000, 72)
 	sc := db.Schema
 	m, _ := core.NewGammaDiagonal(sc.DomainSize(), 19)
-	single, err := NewMaterializedGammaCounter(sc, m)
+	single, err := NewShardedGammaCounter(sc, m, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -337,23 +337,6 @@ func (w *WindowedCounter) Supports(candidates []Itemset) ([]float64, error) {
 	return b.supports()
 }
 
-// PerturbedSupports returns raw full-match counts over the full ring,
-// with the record count of the same sweep.
-func (w *WindowedCounter) PerturbedSupports(candidates []Itemset) ([]float64, int, error) {
-	w.tick()
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	if len(candidates) == 0 {
-		return nil, int(w.total.Load()), nil
-	}
-	b, err := w.gatherLocked(candidates, len(w.ring))
-	if err != nil {
-		return nil, 0, err
-	}
-	ys, n := b.raw()
-	return ys, n, nil
-}
-
 // Estimates answers filter-count queries over the full ring.
 func (w *WindowedCounter) Estimates(filters []Itemset) ([]PointEstimate, int, error) {
 	ests, n, _, err := w.EstimatesWindow(filters, 0)

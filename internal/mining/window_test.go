@@ -112,7 +112,7 @@ func assertWindowMatches(t *testing.T, w *WindowedCounter, window time.Duration,
 // TestWindowedFullRingMatchesUnwindowed: with no rotation, a windowed
 // counter is just a sharded counter with extra bookkeeping — the full
 // ring must match a plain counter fed the same stream to 1e-9, on
-// Supports, PerturbedSupports, Estimates, and the full-ring snapshot.
+// Supports, Estimates, and the full-ring snapshot.
 // This is equivalence proof (b) at the mining layer.
 func TestWindowedFullRingMatchesUnwindowed(t *testing.T) {
 	db := buildSkewedDB(t, 3000, 401)
@@ -143,23 +143,23 @@ func TestWindowedFullRingMatchesUnwindowed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wRaw, wrn, err := w.PerturbedSupports(probes)
+			wEst, wn, err := w.Estimates(probes)
 			if err != nil {
 				t.Fatal(err)
 			}
-			pRaw, prn, err := plain.PerturbedSupports(probes)
+			pEst, pn, err := plain.Estimates(probes)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if wrn != prn {
-				t.Fatalf("raw sweep records %d vs %d", wrn, prn)
+			if wn != pn {
+				t.Fatalf("estimate sweep records %d vs %d", wn, pn)
 			}
 			for i, probe := range probes {
 				if math.Abs(wSup[i]-pSup[i]) > 1e-9 {
 					t.Errorf("%s support %v vs %v", probe.Key(), wSup[i], pSup[i])
 				}
-				if math.Abs(wRaw[i]-pRaw[i]) > 1e-9 {
-					t.Errorf("%s raw %v vs %v", probe.Key(), wRaw[i], pRaw[i])
+				if math.Abs(wEst[i].Count-pEst[i].Count) > 1e-9 || math.Abs(wEst[i].StdErr-pEst[i].StdErr) > 1e-9 {
+					t.Errorf("%s estimate %+v vs %+v", probe.Key(), wEst[i], pEst[i])
 				}
 			}
 			// Windowed read spanning the whole retention == unwindowed.

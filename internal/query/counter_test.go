@@ -62,9 +62,9 @@ func randomFilters(t *testing.T, s *dataset.Schema, rng *rand.Rand) []mining.Ite
 // TestCounterEngineMatchesScanEngine is the equivalence property: for
 // seeded random schemas and perturbed databases, the counter-backed
 // estimates must equal the record-scan Engine's (count, stderr, CI, N)
-// to within float tolerance, across filter arities 0..3 — the counter
-// path reads the same Y_L from histograms that the scan path counts
-// record by record.
+// to within float tolerance, across filter arities 0..3, over a sharded
+// counter and over a single core — the counter path reads the same Y_L
+// from histograms that the scan path counts record by record.
 func TestCounterEngineMatchesScanEngine(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		rng := rand.New(rand.NewSource(1000 + seed))
@@ -102,23 +102,23 @@ func TestCounterEngineMatchesScanEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		counters := map[string]PerturbedCounter{}
-		sharded, err := mining.NewShardedGammaCounter(s, m, 3)
+		scheme, err := mining.NewGammaScheme(s, m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sharded.AddDatabase(pdb); err != nil {
-			t.Fatal(err)
-		}
-		counters["sharded"] = sharded
-		mat, err := mining.NewMaterializedGammaCounter(s, m)
+		sharded, err := mining.NewShardedCounter(scheme, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := mat.AddDatabase(pdb); err != nil {
-			t.Fatal(err)
+		// A lone core wrapped as a live counter — the shape a federation
+		// coordinator serves its merged view in.
+		single := mining.NewLiveFromCore(scheme, scheme.NewCore())
+		counters := map[string]mining.LiveCounter{"sharded": sharded, "single": single}
+		for _, ctr := range []*mining.ShardedCounter{sharded, single} {
+			if err := ctr.AddDatabase(pdb); err != nil {
+				t.Fatal(err)
+			}
 		}
-		counters["materialized"] = mat
 
 		filters := randomFilters(t, s, rng)
 		want, err := scan.CountAll(filters)
@@ -126,7 +126,7 @@ func TestCounterEngineMatchesScanEngine(t *testing.T) {
 			t.Fatal(err)
 		}
 		for name, ctr := range counters {
-			eng, err := NewCounterEngine(ctr, m)
+			eng, err := NewLiveCounterEngine(ctr)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -173,18 +173,10 @@ func TestCounterEngineValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewCounterEngine(nil, m); !errors.Is(err, ErrQuery) {
+	if _, err := NewLiveCounterEngine(nil); !errors.Is(err, ErrQuery) {
 		t.Fatal("nil counter accepted")
 	}
-	wrong, _ := core.NewGammaDiagonal(s.DomainSize()+1, 19)
-	if _, err := NewCounterEngine(ctr, wrong); !errors.Is(err, ErrQuery) {
-		t.Fatal("order mismatch accepted")
-	}
-	bad := core.UniformMatrix{N: s.DomainSize(), Diag: 0.5, Off: 0.5}
-	if _, err := NewCounterEngine(ctr, bad); !errors.Is(err, ErrQuery) {
-		t.Fatal("invalid Markov matrix accepted")
-	}
-	eng, err := NewCounterEngine(ctr, m)
+	eng, err := NewLiveCounterEngine(ctr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,11 +7,13 @@
 // independent Bernoulli indicators (the Poisson-Binomial of Section 2.2,
 // whose variance is bounded by the binomial at the same mean).
 //
-// Two engines share that estimator core (Reconstruct): Engine scans a
-// materialized perturbed database per filter, while CounterEngine reads
-// the perturbed match counts from an incrementally materialized counter
-// in O(#filters) histogram lookups — the collection service's live
-// query path.
+// Engine applies that estimator (Reconstruct) to a materialized
+// perturbed database, scanning it once per filter; it is the offline
+// reference the live path is tested against. CounterEngine is the
+// collection service's live query path: it asks a mining.LiveCounter
+// for its scheme's estimates — the same estimator for gamma, resolved
+// from incrementally materialized histograms in O(#filters) — and
+// attaches the confidence intervals.
 package query
 
 import (

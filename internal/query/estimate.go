@@ -52,8 +52,10 @@ const Z95 = 1.959963984540054
 // z95 is the internal alias the estimator paths use.
 const z95 = Z95
 
-// Reconstruct is the estimator core shared by the record-scan Engine and
-// the counter-backed CounterEngine: given the PERTURBED match count y
+// Reconstruct is the record-scan Engine's estimator core (the gamma
+// counter in internal/mining evaluates the same closed form from its
+// histograms, which the counter-vs-scan tests hold to 1e-9): given the
+// PERTURBED match count y
 // among n submitted records and the marginal perturbation matrix for the
 // filter's attribute subset, it inverts the marginal in closed form,
 //

@@ -191,6 +191,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusConflict, errNoSubmissions)
 		return
 	}
+	if wv, ok := counter.(mining.WindowView); ok {
+		// A ring rotation can expire records between any two reads of a
+		// windowed counter, so its record count and version must come
+		// from the one locked sweep the windowed path makes: the full
+		// ring is the unwindowed answer.
+		s.writeWindowedQuery(w, ref, wv, filters, 0, "")
+		return
+	}
 	// The version is read BEFORE the sweep (the SnapshotVersioned
 	// convention): every record visible at this version is fully inside
 	// some shard and therefore inside the sweep, so Records >= version
@@ -224,13 +232,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handleWindowedQuery answers a filter batch restricted to the newest
-// ceil(window/bucket) ring buckets of a windowed collection. The
-// counter returns the version together with the estimates, read under
-// the same lock as the sweep: windowed content is non-monotonic (a ring
-// rotation REMOVES records), so the unwindowed path's "version read
-// before the sweep stays valid for strictly newer content" argument
-// does not apply and the stamp must be exact.
+// handleWindowedQuery validates a request's window and answers the
+// filter batch over the newest ceil(window/bucket) ring buckets of a
+// windowed collection.
 func (s *Server) handleWindowedQuery(w http.ResponseWriter, ref *counterRef, filters []mining.Itemset, windowStr string) {
 	window, err := time.ParseDuration(windowStr)
 	if err != nil {
@@ -246,6 +250,18 @@ func (s *Server) handleWindowedQuery(w http.ResponseWriter, ref *counterRef, fil
 		httpError(w, http.StatusBadRequest, fmt.Errorf("%w: collection is not windowed; query without the window field", ErrService))
 		return
 	}
+	s.writeWindowedQuery(w, ref, wv, filters, window, windowStr)
+}
+
+// writeWindowedQuery answers filters over the newest ceil(window/bucket)
+// buckets of a windowed counter (window 0 = the full ring). The counter
+// returns the version together with the estimates, read under the same
+// lock as the sweep: windowed content is non-monotonic (a ring rotation
+// REMOVES records), so the unwindowed path's "version read before the
+// sweep stays valid for strictly newer content" argument does not apply
+// and the stamp must be exact. windowStr is echoed in the response (""
+// for an unwindowed request).
+func (s *Server) writeWindowedQuery(w http.ResponseWriter, ref *counterRef, wv mining.WindowView, filters []mining.Itemset, window time.Duration, windowStr string) {
 	ests, n, version, err := wv.EstimatesWindow(filters, window)
 	if err != nil {
 		// Filters were validated by the caller, so estimator errors are
@@ -254,7 +270,11 @@ func (s *Server) handleWindowedQuery(w http.ResponseWriter, ref *counterRef, fil
 		return
 	}
 	if n == 0 {
-		httpError(w, http.StatusConflict, fmt.Errorf("%w (no records in the last %s)", errNoSubmissions, windowStr))
+		err := errNoSubmissions
+		if windowStr != "" {
+			err = fmt.Errorf("%w (no records in the last %s)", errNoSubmissions, windowStr)
+		}
+		httpError(w, http.StatusConflict, err)
 		return
 	}
 	resp := QueryResponse{

@@ -206,17 +206,17 @@ func TestReplaceCounterValidatesContract(t *testing.T) {
 	}
 
 	// A matching counter swaps in atomically with its version vector.
-	merged, err := mining.NewMaterializedGammaCounter(srv.schema, srv.matrix)
-	if err != nil {
-		t.Fatal(err)
+	merged := srv.CounterScheme().NewCore()
+	items := make([]mining.Item, srv.schema.M())
+	for j := range items {
+		items[j] = mining.Item{Attr: j}
 	}
-	rec := make(dataset.Record, srv.schema.M())
-	if err := merged.Add(rec); err != nil {
+	if err := merged.Ingest(items); err != nil {
 		t.Fatal(err)
 	}
 	genBefore := srv.CounterGeneration()
 	vector := map[string]uint64{"http://site-a": 42}
-	if err := srv.ReplaceCounter(mining.NewShardedFromSnapshot(merged), vector); err != nil {
+	if err := srv.ReplaceCounter(mining.NewLiveFromCore(srv.CounterScheme(), merged), vector); err != nil {
 		t.Fatal(err)
 	}
 	if srv.N() != 1 {

@@ -26,12 +26,26 @@ import (
 type svcClock struct {
 	mu sync.Mutex
 	t  time.Time
+	// jump, when non-zero, is added to t right after the next reading.
+	jump time.Duration
 }
 
 func (c *svcClock) Now() time.Time {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.t
+	now := c.t
+	c.t = c.t.Add(c.jump)
+	c.jump = 0
+	return now
+}
+
+// JumpAfterNext lets the clock give its current time once more and
+// then jump forward by d — a rotation that lands between two reads of
+// one request.
+func (c *svcClock) JumpAfterNext(d time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.jump = d
 }
 
 func (c *svcClock) Advance(d time.Duration) {
@@ -315,6 +329,26 @@ func TestWindowedQueryRejections(t *testing.T) {
 	if _, err := winClient.QueryWindow(filters, "1m"); err == nil ||
 		!strings.Contains(err.Error(), "409") {
 		t.Errorf("window query on empty collection: %v, want 409", err)
+	}
+}
+
+// TestUnwindowedQueryAcrossRingExpiry: an un-windowed /v1/query on a
+// windowed collection whose whole ring expires mid-request must answer
+// from one ring state. Here the clock reads "now" once and then jumps
+// by the retention period, so every record expires right after the
+// handler's first clock reading: the answer is the 409 of an empty
+// collection, never a 500 from an estimator that sees the ring emptied
+// after the handler found records in it.
+func TestUnwindowedQueryAcrossRingExpiry(t *testing.T) {
+	srv, client, clock := startWindowedServer(t, 4, time.Minute, WithShards(2))
+	submitSeeded(t, client, 40, 5)
+	clock.JumpAfterNext(srv.ctr().(*mining.WindowedCounter).Retention())
+	_, err := client.QueryAll([]QueryFilter{{}})
+	if err == nil || !strings.Contains(err.Error(), "409") {
+		t.Fatalf("query across ring expiry: %v, want 409", err)
+	}
+	if n := srv.N(); n != 0 {
+		t.Fatalf("records after expiry: %d, want 0", n)
 	}
 }
 

@@ -113,17 +113,28 @@ func TestBatchWireEquivalence(t *testing.T) {
 				t.Fatalf("versions: json %d, binary %d", srvJSON.SnapshotVersion(), srvBin.SnapshotVersion())
 			}
 			probes := wireProbes(srvJSON.schema)
-			supJSON, _, err := srvJSON.ctr().PerturbedSupports(probes)
+			supJSON, err := srvJSON.ctr().Supports(probes)
 			if err != nil {
 				t.Fatal(err)
 			}
-			supBin, _, err := srvBin.ctr().PerturbedSupports(probes)
+			supBin, err := srvBin.ctr().Supports(probes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			estJSON, _, err := srvJSON.ctr().Estimates(probes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			estBin, _, err := srvBin.ctr().Estimates(probes)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i := range probes {
 				if supJSON[i] != supBin[i] {
 					t.Errorf("probe %d: json support %g, binary support %g", i, supJSON[i], supBin[i])
+				}
+				if estJSON[i] != estBin[i] {
+					t.Errorf("probe %d: json estimate %+v, binary estimate %+v", i, estJSON[i], estBin[i])
 				}
 			}
 			if binBytes >= jsonBytes {
@@ -240,7 +251,11 @@ func TestBatchAtomicityOverHTTP(t *testing.T) {
 			}
 			probes := wireProbes(srv.schema)
 			wantN, wantVer := srv.N(), srv.SnapshotVersion()
-			wantSup, _, err := srv.ctr().PerturbedSupports(probes)
+			wantSup, err := srv.ctr().Supports(probes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantEst, _, err := srv.ctr().Estimates(probes)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -252,13 +267,17 @@ func TestBatchAtomicityOverHTTP(t *testing.T) {
 				if got := srv.SnapshotVersion(); got != wantVer {
 					t.Errorf("%s: version=%d, want %d", what, got, wantVer)
 				}
-				gotSup, _, err := srv.ctr().PerturbedSupports(probes)
+				gotSup, err := srv.ctr().Supports(probes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotEst, _, err := srv.ctr().Estimates(probes)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for i := range probes {
-					if gotSup[i] != wantSup[i] {
-						t.Errorf("%s: probe %d support %g, want %g", what, i, gotSup[i], wantSup[i])
+					if gotSup[i] != wantSup[i] || gotEst[i] != wantEst[i] {
+						t.Errorf("%s: probe %d support %g estimate %+v, want %g %+v", what, i, gotSup[i], gotEst[i], wantSup[i], wantEst[i])
 					}
 				}
 			}
