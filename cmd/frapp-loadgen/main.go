@@ -142,21 +142,29 @@ func run(args []string) int {
 	}
 
 	if cfg.Baseline != "" {
-		base, err := loadgen.ReadReport(cfg.Baseline)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "frapp-loadgen: baseline: %v\n", err)
-			return 2
-		}
-		if violations := loadgen.CompareBaseline(rpt, base, cfg.P99Tol, cfg.RateTol); len(violations) > 0 {
-			fmt.Fprintf(os.Stderr, "REGRESSION GATE FAILED vs %s:\n", cfg.Baseline)
-			for _, v := range violations {
-				fmt.Fprintf(os.Stderr, "  - %s\n", v)
-			}
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "regression gate passed vs %s (p99 ×%g, rate ≥%g×)\n",
-			cfg.Baseline, cfg.P99Tol, cfg.RateTol)
+		return gate(rpt, cfg)
 	}
+	return 0
+}
+
+// gate compares a report against the -baseline report file and returns
+// the exit status: 0 when it passes, 1 on a regression, 2 when the
+// baseline cannot be read.
+func gate(rpt *loadgen.Report, cfg *loadgen.Config) int {
+	base, err := loadgen.ReadReport(cfg.Baseline)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "frapp-loadgen: baseline: %v\n", err)
+		return 2
+	}
+	if violations := loadgen.CompareBaseline(rpt, base, cfg.P99Tol, cfg.RateTol); len(violations) > 0 {
+		fmt.Fprintf(os.Stderr, "REGRESSION GATE FAILED vs %s:\n", cfg.Baseline)
+		for _, v := range violations {
+			fmt.Fprintf(os.Stderr, "  - %s\n", v)
+		}
+		return 1
+	}
+	fmt.Fprintf(os.Stderr, "regression gate passed vs %s (p99 ×%g, rate ≥%g×)\n",
+		cfg.Baseline, cfg.P99Tol, cfg.RateTol)
 	return 0
 }
 

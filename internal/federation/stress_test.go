@@ -18,7 +18,7 @@ import (
 // with the background sync loop on a tiny interval while submitters
 // hammer both sites and readers hammer the coordinator — the race
 // detector's view of the whole replication path (delta extraction,
-// checkpoint ring, replica application, merge, counter swap). After
+// change journal, replica application, merge, counter swap). After
 // quiescence the coordinator must converge to the exact union.
 func TestStressFederationSync(t *testing.T) {
 	schema := fedSchema(t)

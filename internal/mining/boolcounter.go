@@ -7,7 +7,6 @@ import (
 	"io"
 	"math"
 	"math/bits"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -39,6 +38,9 @@ type boolCore struct {
 	// mom is the bit-moment table over the rows, nil until the first
 	// write (an idle window bucket carries none).
 	mom []float64
+	// jr logs every row and delta cell applied, once a replication token
+	// has been minted (see journal.go).
+	jr journal
 }
 
 // boolEstimator is the per-scheme reconstruction behind a boolCore:
@@ -165,6 +167,12 @@ func (c *boolCore) ingestPrepared(p preparedIngest, lo, hi int) time.Duration {
 		c.rows[row]++
 	}
 	c.n += len(rows)
+	if c.jr.on {
+		for _, row := range rows {
+			c.jr.add(row, 1)
+		}
+		c.jr.settle()
+	}
 	mom := c.momentsLocked()
 	if tab != nil {
 		for i, v := range tab {
@@ -235,6 +243,12 @@ func (c *boolCore) ApplyDelta(d *CounterDelta) error {
 	}
 	c.n += d.Records
 	c.addMomentsLocked(mom)
+	if c.jr.on {
+		for _, cell := range d.Cells {
+			c.jr.add(cell.Idx, cell.Count)
+		}
+		c.jr.settle()
+	}
 	return nil
 }
 
@@ -250,29 +264,31 @@ func (c *boolCore) foldInto(dst CounterCore) {
 	d.addMomentsLocked(c.mom)
 }
 
-// addJointInto folds the sparse joint histogram into the accumulator.
-func (c *boolCore) addJointInto(joint map[uint64]float64) int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	for row, cnt := range c.rows {
-		joint[row] += cnt
+// cut reads the core at its journal position under one hold of the write
+// lock, running edit on the journal first. The joint cells of a
+// cutJoint or cutState read are the rows themselves; a saved state sorts
+// them by index, after the lock is released, so saved states are
+// deterministic.
+func (c *boolCore) cut(read cutRead, edit func(*journal)) shardCut {
+	c.mu.Lock()
+	if edit != nil {
+		edit(&c.jr)
 	}
-	return c.n
-}
-
-// saveShard deep-copies the core's state as sparse cells, sorted by
-// index so saved states are deterministic.
-func (c *boolCore) saveShard() shardState {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	cells := make([]DeltaCell, 0, len(c.rows))
-	for row, cnt := range c.rows {
-		if cnt != 0 {
-			cells = append(cells, DeltaCell{Idx: row, Count: cnt})
+	sc := c.jr.cutOf(c.n, len(c.rows))
+	if read != cutJournal {
+		sc.joint = make([]DeltaCell, 0, len(c.rows))
+		for row, cnt := range c.rows {
+			if cnt != 0 {
+				sc.joint = append(sc.joint, DeltaCell{Idx: row, Count: cnt})
+			}
 		}
 	}
-	sort.Slice(cells, func(i, j int) bool { return cells[i].Idx < cells[j].Idx })
-	return shardState{N: c.n, Cells: cells}
+	c.mu.Unlock()
+	if read == cutState {
+		cells := sortCells(sc.joint, make([]DeltaCell, len(sc.joint)))
+		sc.state, sc.joint = shardState{N: sc.n, Cells: cells}, nil
+	}
+	return sc
 }
 
 // restoreShard validates one saved shard payload — cell ranges,

@@ -98,130 +98,217 @@ func (c *MaterializedGammaCounter) Fingerprint() string {
 // not a tuning knob.
 const MaxDeltaWireBytes = 1 << 30
 
-// maxDeltaCheckpoints bounds the retained replication baselines. Each
-// checkpoint is one sparse joint histogram (at most one cell per
-// distinct joint-domain point), so the cap costs O(8·cells) memory and
-// lets up to 8 interleaved pullers (or 8 outstanding retry windows of
-// one puller) replicate incrementally; anything older falls back to a
-// full resync.
+// maxDeltaCheckpoints bounds the retained replication tokens: up to 8
+// interleaved pullers (or 8 outstanding retry windows of one puller)
+// replicate incrementally; anything older falls back to a full resync.
+// The journal entries behind them are bounded too (see retain).
 const maxDeltaCheckpoints = 8
 
-// deltaCheckpoint is the baseline retained per issued ToVersion: the
-// exact sparse joint histogram and record count that were handed to the
-// puller, so the next incremental diff is computed against precisely the
-// state the puller holds.
-type deltaCheckpoint struct {
+// tokenCut is one retained replication position: the stream token, the
+// counter's record count at the cut, and every shard's journal position.
+type tokenCut struct {
+	token uint64
 	n     int
-	joint map[uint64]float64
+	pos   []uint64
+}
+
+// counterCut is one cut of every shard, each read in one hold of that
+// shard's lock, with the record count and distinct-cell bound summed.
+type counterCut struct {
+	shards   []shardCut
+	n, cells int
+}
+
+// cutShards cuts every shard in turn.
+func (c *ShardedCounter) cutShards(read cutRead, edit func(*journal)) counterCut {
+	cut := counterCut{shards: make([]shardCut, len(c.shards))}
+	for i, s := range c.shards {
+		sc := s.cut(read, edit)
+		cut.shards[i] = sc
+		cut.n += sc.n
+		cut.cells += sc.cells
+	}
+	return cut
+}
+
+// covers reports whether every shard still journals everything after t.
+func (cut *counterCut) covers(t *tokenCut) bool {
+	for i, sc := range cut.shards {
+		if t.pos[i] < sc.start {
+			return false
+		}
+	}
+	return true
+}
+
+// entriesSince counts the journal entries between t and the cut.
+func (cut *counterCut) entriesSince(t *tokenCut) uint64 {
+	var k uint64
+	for i, sc := range cut.shards {
+		k += sc.pos - t.pos[i]
+	}
+	return k
+}
+
+// aggregate sums the journal entries between positions from and to (to at
+// or before the cut) into cells with sum, with no shard lock held.
+func (cut *counterCut) aggregate(sum *cellSum, from, to []uint64) []DeltaCell {
+	for i, sc := range cut.shards {
+		addRange(sum, sc.chunks, from[i], to[i])
+	}
+	return sum.cells()
+}
+
+// joint merges the shards' joint cells of a cutJoint cut.
+func (cut *counterCut) joint() []DeltaCell {
+	sum := newCellSum(cut.cells)
+	for _, sc := range cut.shards {
+		sum.add(sc.joint)
+	}
+	return sum.cells()
+}
+
+// positions returns the cut's per-shard journal positions.
+func (cut *counterCut) positions() []uint64 {
+	pos := make([]uint64, len(cut.shards))
+	for i, sc := range cut.shards {
+		pos[i] = sc.pos
+	}
+	return pos
+}
+
+// enableJournal is the edit every minting cut runs: journaling on, with
+// the floor budget's limit until retain sets the counter's own.
+func (c *ShardedCounter) enableJournal(j *journal) {
+	j.enable(c.shardLimit(0))
+}
+
+// shardLimit is one shard's share of the retention budget: 8 journal
+// entries per distinct joint cell (the 8 full baselines the journal
+// replaces held at most that many cells), with a floor.
+func (c *ShardedCounter) shardLimit(cells int) uint64 {
+	return uint64(maxDeltaCheckpoints*max(cells, journalFloorCells)/len(c.shards)) + 1
+}
+
+// token returns the retained cut issued as token t, nil if none.
+func (c *ShardedCounter) token(t uint64) *tokenCut {
+	for _, tc := range c.tokens {
+		if tc.token == t && t != 0 {
+			return tc
+		}
+	}
+	return nil
+}
+
+// mint returns the token for a cut taken after reading version: the
+// newest retained token when no shard journaled anything since it (an
+// unchanged counter reuses its token, so idle polling never churns the
+// retained set), otherwise a fresh strictly increasing token >= version,
+// retained as the newest. Called with repMu held.
+func (c *ShardedCounter) mint(version uint64, cut *counterCut) *tokenCut {
+	if k := len(c.tokens); k > 0 && cut.covers(c.tokens[k-1]) && cut.entriesSince(c.tokens[k-1]) == 0 {
+		return c.tokens[k-1]
+	}
+	token := max(version, c.lastDeltaToken+1)
+	c.lastDeltaToken = token
+	t := &tokenCut{token: token, n: cut.n, pos: cut.positions()}
+	c.tokens = append(c.tokens, t)
+	return t
+}
+
+// retain applies the retention rule after a cut: tokens the cut no longer
+// covers go (a shard dropped its journal), then the oldest while more
+// than maxDeltaCheckpoints remain or while the entries after the oldest
+// exceed the budget of 8 entries per distinct cell; the newest always
+// stays. Each shard then releases the entries below the oldest kept
+// token and takes its share of the budget as the limit of entries past
+// the cut. Called with repMu held.
+func (c *ShardedCounter) retain(cut *counterCut) {
+	budget := c.shardLimit(cut.cells) * uint64(len(c.shards))
+	k := 0
+	for k < len(c.tokens)-1 && (!cut.covers(c.tokens[k]) ||
+		len(c.tokens)-k > maxDeltaCheckpoints || cut.entriesSince(c.tokens[k]) > budget) {
+		k++
+	}
+	c.tokens = append([]*tokenCut(nil), c.tokens[k:]...)
+	c.retained.Store(int64(len(c.tokens)))
+	oldest, limit := c.tokens[0].pos, c.shardLimit(cut.cells)
+	for i, s := range c.shards {
+		s.cut(cutJournal, func(j *journal) {
+			j.trim(oldest[i])
+			j.limit = limit
+		})
+	}
 }
 
 // DeltaSince extracts the counter's change since a previously issued
 // replication position. since 0 — or any position the counter no longer
-// retains (evicted checkpoint, restarted process, restored state: the
-// checkpoint ring lives and dies with the counter object) — yields a
-// FULL delta (FromVersion 0); otherwise an incremental delta against
-// exactly the state returned at `since`. The returned ToVersion is the
-// position to echo next time.
+// retains (trimmed token, dropped journal, restarted process, restored
+// state) — yields a FULL delta (FromVersion 0); otherwise an incremental
+// delta against exactly the state returned at `since`. The returned
+// ToVersion is the position to echo next time.
+//
+// Each shard's journal is cut in O(1) under that shard's lock, in the
+// same hold that reads its record count; the entries between the `since`
+// cut and the new one are then aggregated with no shard lock held. A full
+// delta folds each shard's joint histogram in its cut's hold instead.
 //
 // ToVersion is a stream token, not the content version: every distinct
 // counter state gets a distinct token >= the content version at
-// extraction time (a snapshot can fold in records that landed
-// mid-sweep, so two calls at one content version may see different
-// states — distinct tokens keep every retained baseline unambiguous,
-// while pulls that observe an unchanged counter reuse the newest
-// token).
+// extraction time, while pulls that observe an unchanged counter reuse
+// the newest token.
 func (c *ShardedCounter) DeltaSince(since uint64) (*CounterDelta, error) {
-	c.ckptMu.Lock()
-	defer c.ckptMu.Unlock()
+	c.repMu.Lock()
+	defer c.repMu.Unlock()
+	read := cutJoint
+	if c.token(since) != nil {
+		read = cutJournal
+	}
+	d, cut, _ := c.deltaLocked(since, read)
+	if d == nil {
+		// A shard dropped its journal since `since`: serve full.
+		d, cut, _ = c.deltaLocked(0, cutJoint)
+	}
+	c.retain(&cut)
+	return d, nil
+}
 
-	// Fast path: if the newest issued baseline still matches the live
-	// record count, the counter is unchanged since it was issued —
-	// records are never removed, so an equal count means an identical
-	// record multiset and therefore identical histograms — and the pull
-	// is served entirely from retained checkpoints: no snapshot fold, no
-	// new token, no ring churn. Idle polling (including repeated since=0
-	// scrapers) therefore costs O(cells) and can never evict a
-	// replicator's baseline. (A record mid-ingestion may make the count
-	// match a hair before its visibility — then this serves the
-	// checkpoint's slightly older but fully consistent state, and the
-	// record rides the next delta.)
-	if k := len(c.ckptOrder); k > 0 {
-		tok := c.ckptOrder[k-1]
-		if ck := c.ckpts[tok]; int64(ck.n) == c.total.Load() {
-			return c.deltaToLocked(since, tok, ck)
+// deltaLocked cuts every shard (reading read), mints the cut's token and
+// returns the delta from since to it: incremental when since is retained
+// and the cut covers it, full when the cut read the joint histogram, nil
+// otherwise. Called with repMu held.
+func (c *ShardedCounter) deltaLocked(since uint64, read cutRead) (*CounterDelta, counterCut, *tokenCut) {
+	version := c.version.Load()
+	cut := c.cutShards(read, c.enableJournal)
+	to := c.mint(version, &cut)
+	d := &CounterDelta{Fingerprint: c.Fingerprint(), Generation: c.deltaEpoch, ToVersion: to.token}
+	switch base := c.token(since); {
+	case base != nil && cut.covers(base):
+		d.FromVersion = base.token
+		d.Records = to.n - base.n
+		d.Cells = cut.aggregate(newCellSum(int(cut.entriesSince(base))), base.pos, to.pos)
+	case read == cutJoint:
+		d.Records, d.Cells = cut.n, cut.joint()
+	default:
+		d = nil
+	}
+	return d, cut, to
+}
+
+// ReplicationJournal reports the change-journal entries the shards retain
+// and the replication tokens retained, for scrape-time telemetry.
+func (c *ShardedCounter) ReplicationJournal() (entries, tokens int) {
+	for _, s := range c.shards {
+		if sc := s.cut(cutJournal, nil); sc.pos > sc.start {
+			entries += int(sc.pos - sc.start)
 		}
 	}
-
-	// Slow path: fold a fresh sparse joint, mint a strictly increasing
-	// token, and retain the (token → state) baseline for future pulls.
-	version := c.version.Load()
-	joint := make(map[uint64]float64)
-	n := 0
-	for _, s := range c.shards {
-		n += s.addJointInto(joint)
-	}
-	token := version
-	if token <= c.lastDeltaToken {
-		token = c.lastDeltaToken + 1
-	}
-	c.lastDeltaToken = token
-	ck := &deltaCheckpoint{n: n, joint: joint}
-	c.ckpts[token] = ck
-	c.ckptOrder = append(c.ckptOrder, token)
-	if len(c.ckptOrder) > maxDeltaCheckpoints {
-		delete(c.ckpts, c.ckptOrder[0])
-		c.ckptOrder = c.ckptOrder[1:]
-	}
-	return c.deltaToLocked(since, token, ck)
+	return entries, int(c.retained.Load())
 }
 
 // DeltaEpoch returns the counter object's random replication epoch —
 // the Generation every extracted delta carries.
 func (c *ShardedCounter) DeltaEpoch() uint64 { return c.deltaEpoch }
-
-// deltaToLocked builds the delta ending at checkpoint (token, ck),
-// incremental against the retained baseline at since when one exists,
-// full otherwise. Called with ckptMu held.
-func (c *ShardedCounter) deltaToLocked(since, token uint64, ck *deltaCheckpoint) (*CounterDelta, error) {
-	d := &CounterDelta{
-		Fingerprint: c.Fingerprint(),
-		Generation:  c.deltaEpoch,
-		ToVersion:   token,
-	}
-	var base *deltaCheckpoint
-	if since != 0 {
-		if b, ok := c.ckpts[since]; ok {
-			base = b
-			d.FromVersion = since
-		}
-	}
-	if base == nil {
-		d.Records = ck.n
-		for idx, v := range ck.joint {
-			if v != 0 {
-				d.Cells = append(d.Cells, DeltaCell{Idx: idx, Count: v})
-			}
-		}
-		return d, nil
-	}
-	d.Records = ck.n - base.n
-	for idx, v := range ck.joint {
-		if diff := v - base.joint[idx]; diff != 0 {
-			if diff < 0 {
-				return nil, fmt.Errorf("%w: joint cell %d regressed by %v within one counter", ErrMining, idx, -diff)
-			}
-			d.Cells = append(d.Cells, DeltaCell{Idx: idx, Count: diff})
-		}
-	}
-	// Cell counts never shrink within a generation, so a baseline cell
-	// missing from the current joint is a regression too.
-	for idx, v := range base.joint {
-		if _, ok := ck.joint[idx]; !ok && v != 0 {
-			return nil, fmt.Errorf("%w: joint cell %d regressed by %v within one counter", ErrMining, idx, v)
-		}
-	}
-	return d, nil
-}
 
 // validateDelta runs the scheme-independent receiver checks: presence,
 // fingerprint match (which seals scheme, schema, and parameters),
@@ -235,18 +322,24 @@ func validateDelta(d *CounterDelta, fingerprint string) error {
 		return fmt.Errorf("%w: delta fingerprint %.12s does not match counter %.12s (different scheme, schema, or perturbation contract)",
 			ErrMining, d.Fingerprint, fingerprint)
 	}
-	if d.Records < 0 {
-		return fmt.Errorf("%w: delta carries negative record count %d", ErrMining, d.Records)
+	return checkCells(d.Cells, d.Records)
+}
+
+// checkCells verifies a non-negative record count carried by strictly
+// positive cells that sum to it.
+func checkCells(cells []DeltaCell, records int) error {
+	if records < 0 {
+		return fmt.Errorf("%w: delta carries negative record count %d", ErrMining, records)
 	}
 	var sum float64
-	for _, cell := range d.Cells {
+	for _, cell := range cells {
 		if cell.Count <= 0 {
 			return fmt.Errorf("%w: non-positive delta cell count %v at index %d", ErrMining, cell.Count, cell.Idx)
 		}
 		sum += cell.Count
 	}
-	if diff := sum - float64(d.Records); diff > 1e-6 || diff < -1e-6 {
-		return fmt.Errorf("%w: delta cells total %v, want %d records", ErrMining, sum, d.Records)
+	if diff := sum - float64(records); diff > 1e-6 || diff < -1e-6 {
+		return fmt.Errorf("%w: delta cells total %v, want %d records", ErrMining, sum, records)
 	}
 	return nil
 }
@@ -282,7 +375,13 @@ func (c *MaterializedGammaCounter) ApplyDelta(d *CounterDelta) error {
 			}
 			c.hists[mask][idx] += cell.Count
 		}
+		if c.jr.on {
+			c.jr.add(cell.Idx, cell.Count)
+		}
 	}
 	c.n += d.Records
+	if c.jr.on {
+		c.jr.settle()
+	}
 	return nil
 }

@@ -142,6 +142,10 @@ func TestDeltaSinceUnknownBaselineFallsBackToFull(t *testing.T) {
 	}
 }
 
+// TestDeltaSinceEvictsOldCheckpoints: the retention rule trims the
+// oldest tokens — beyond maxDeltaCheckpoints, and while the journal
+// entries after the oldest exceed the budget — releases the journal
+// below the oldest kept token, and serves a trimmed token full.
 func TestDeltaSinceEvictsOldCheckpoints(t *testing.T) {
 	s := deltaTestSchema(t)
 	m := deltaTestMatrix(t, s)
@@ -169,11 +173,48 @@ func TestDeltaSinceEvictsOldCheckpoints(t *testing.T) {
 	if !d.Full() {
 		t.Fatal("evicted baseline still served incrementally")
 	}
-	src.ckptMu.Lock()
-	retained := len(src.ckpts)
-	src.ckptMu.Unlock()
-	if retained > maxDeltaCheckpoints {
-		t.Fatalf("%d checkpoints retained, cap %d", retained, maxDeltaCheckpoints)
+	// One record between consecutive tokens: the journal holds exactly
+	// the entries after the oldest of the 8 kept tokens.
+	if entries, tokens := src.ReplicationJournal(); tokens != maxDeltaCheckpoints || entries != maxDeltaCheckpoints-1 {
+		t.Fatalf("retained %d tokens over %d entries, want %d over %d", tokens, entries, maxDeltaCheckpoints, maxDeltaCheckpoints-1)
+	}
+
+	// The budget: pulls spaced 3/8 of it apart keep only the tokens whose
+	// entries fit, however few tokens that is.
+	budget := int(src.shardLimit(0))
+	var toks []uint64
+	for round := 0; round < 4; round++ {
+		ingestRandom(t, src, rng, 3*budget/8)
+		d, err := src.DeltaSince(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		toks = append(toks, d.ToVersion)
+	}
+	entries, tokens := src.ReplicationJournal()
+	if tokens != 3 || entries > budget {
+		t.Fatalf("retained %d tokens over %d entries, want 3 within the %d-entry budget", tokens, entries, budget)
+	}
+	if d, err := src.DeltaSince(toks[0]); err != nil || !d.Full() {
+		t.Fatalf("token trimmed by the budget served incrementally (err %v)", err)
+	}
+	if d, err := src.DeltaSince(toks[1]); err != nil || d.Full() || d.Records != 2*(3*budget/8) {
+		t.Fatalf("token within the budget not served incrementally (err %v)", err)
+	}
+}
+
+// ingestRandom batch-ingests n random categorical records.
+func ingestRandom(t *testing.T, c LiveCounter, rng *rand.Rand, n int) {
+	t.Helper()
+	for n > 0 {
+		batch := make([][]Item, min(n, 4096))
+		for i := range batch {
+			batch[i] = recordItems(randomRecord(c.Schema(), rng))
+		}
+		if err := c.IngestBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		n -= len(batch)
 	}
 }
 
@@ -208,11 +249,8 @@ func TestDeltaSinceUnchangedCounterReusesToken(t *testing.T) {
 			t.Fatalf("unchanged counter minted new token %d (want %d)", d.ToVersion, first.ToVersion)
 		}
 	}
-	src.ckptMu.Lock()
-	retained := len(src.ckpts)
-	src.ckptMu.Unlock()
-	if retained != 1 {
-		t.Fatalf("%d checkpoints retained after idle flood, want 1", retained)
+	if _, retained := src.ReplicationJournal(); retained != 1 {
+		t.Fatalf("%d tokens retained after idle flood, want 1", retained)
 	}
 	// The replicator's baseline survived: its next pull is incremental.
 	if err := src.Add(randomRecord(s, rng)); err != nil {

@@ -81,23 +81,33 @@ func (c *MaterializedGammaCounter) prepareIngest(records [][]Item) (preparedInge
 // ingestPrepared folds records [lo, hi) of a prepared batch into every
 // subset histogram under one lock acquisition. The loop runs mask-major
 // so each histogram (and its column list) stays hot across the whole
-// span — the cache behavior a record-at-a-time loop cannot have.
+// span — the cache behavior a record-at-a-time loop cannot have. The
+// top mask's index is the record's joint cell, which a journaling core
+// logs.
 func (c *MaterializedGammaCounter) ingestPrepared(p preparedIngest, lo, hi int) time.Duration {
 	m := c.schema.M()
 	vals := p.(gammaPrepared).vals[lo*m : hi*m]
 	wait := lockTimed(&c.mu)
 	defer c.mu.Unlock()
-	for mask := 1; mask < len(c.hists); mask++ {
+	top := len(c.hists) - 1
+	for mask := 1; mask <= top; mask++ {
 		cols, hist := c.cols[mask], c.hists[mask]
+		logJoint := mask == top && c.jr.on
 		for r := 0; r < len(vals); r += m {
 			idx := 0
 			for _, j := range cols {
 				idx = idx*c.cards[j] + vals[r+j]
 			}
 			hist[idx]++
+			if logJoint {
+				c.jr.add(uint64(idx), 1)
+			}
 		}
 	}
 	c.n += hi - lo
+	if c.jr.on {
+		c.jr.settle()
+	}
 	return wait
 }
 
@@ -144,18 +154,32 @@ func (c *MaterializedGammaCounter) foldInto(dst CounterCore) {
 	}
 }
 
-// addJointInto folds the full-domain joint histogram (the top subset
-// histogram) into the sparse accumulator and returns the record count.
-func (c *MaterializedGammaCounter) addJointInto(joint map[uint64]float64) int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	full := c.hists[len(c.hists)-1]
-	for idx, v := range full {
-		if v != 0 {
-			joint[uint64(idx)] += v
-		}
+// cut reads the core at its journal position under one hold of the write
+// lock, running edit on the journal first. The joint histogram is the top
+// subset histogram, so its size bounds the distinct cells.
+func (c *MaterializedGammaCounter) cut(read cutRead, edit func(*journal)) shardCut {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if edit != nil {
+		edit(&c.jr)
 	}
-	return c.n
+	full := c.hists[len(c.hists)-1]
+	sc := c.jr.cutOf(c.n, min(c.n, len(full)))
+	switch read {
+	case cutJoint:
+		for idx, v := range full {
+			if v != 0 {
+				sc.joint = append(sc.joint, DeltaCell{Idx: uint64(idx), Count: v})
+			}
+		}
+	case cutState:
+		hists := make([][]float64, len(c.hists))
+		for mask := 1; mask < len(c.hists); mask++ {
+			hists[mask] = append([]float64(nil), c.hists[mask]...)
+		}
+		sc.state = shardState{N: c.n, Hists: hists}
+	}
+	return sc
 }
 
 // addInto accumulates src into dst element-wise — the histogram fold

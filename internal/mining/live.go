@@ -164,13 +164,12 @@ type CounterCore interface {
 	// core of the same scheme) under this core's read lock — the
 	// snapshot primitive.
 	foldInto(dst CounterCore)
-	// addJointInto folds the core's full-domain joint histogram into the
-	// sparse accumulator and returns the core's record count — the
-	// replication-delta primitive.
-	addJointInto(joint map[uint64]float64) int
-	// saveShard / restoreShard / checkState / stateMeta are the v3
-	// scheme-tagged persistence hooks (see persist.go).
-	saveShard() shardState
+	// cut reads the core at its change-journal position in one hold of
+	// its write lock, after running edit (if any) on the journal — the
+	// replication and checkpoint primitive (see journal.go).
+	cut(read cutRead, edit func(*journal)) shardCut
+	// restoreShard / checkState / stateMeta are the v3 scheme-tagged
+	// persistence hooks (see persist.go); a cutState cut saves a shard.
 	restoreShard(sh shardState) error
 	checkState(st *counterState) error
 	stateMeta() counterState

@@ -29,6 +29,9 @@ type MaterializedGammaCounter struct {
 	mu    sync.RWMutex
 	n     int
 	hists [][]float64
+	// jr logs the joint cell of every record and delta cell applied, once
+	// a replication token has been minted (see journal.go).
+	jr journal
 }
 
 // maxMaterializedAttrs bounds the 2^M memory/insert blowup.

@@ -84,18 +84,6 @@ func (c *MaterializedGammaCounter) checkState(st *counterState) error {
 	return nil
 }
 
-// saveShard deep-copies the core's state under its own lock, so
-// submissions may keep arriving while the state streams out.
-func (c *MaterializedGammaCounter) saveShard() shardState {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	hists := make([][]float64, len(c.hists))
-	for mask := 1; mask < len(c.hists); mask++ {
-		hists[mask] = append([]float64(nil), c.hists[mask]...)
-	}
-	return shardState{N: c.n, Hists: hists}
-}
-
 // restoreShard validates one shard payload against the counter's
 // structure — histogram shapes, non-negative cells, per-subset totals
 // matching the record count — and folds its counts in. Callers restore
@@ -133,12 +121,17 @@ func (c *MaterializedGammaCounter) restoreShard(sh shardState) error {
 // format. Each shard is deep-copied under its own lock first, so
 // submissions may keep arriving while the state streams out.
 func (c *ShardedCounter) save(w io.Writer) error {
-	st := c.shards[0].stateMeta()
-	st.Shards = make([]shardState, len(c.shards))
-	for i, s := range c.shards {
-		st.Shards[i] = s.saveShard()
-	}
+	st := c.stateOf(c.cutShards(cutState, nil))
 	return gob.NewEncoder(w).Encode(&st)
+}
+
+// stateOf assembles the v3 state of a cutState cut.
+func (c *ShardedCounter) stateOf(cut counterCut) counterState {
+	st := c.shards[0].stateMeta()
+	for _, sc := range cut.shards {
+		st.Shards = append(st.Shards, sc.state)
+	}
+	return st
 }
 
 // decodeState decodes a version-3 state payload.

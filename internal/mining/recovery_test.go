@@ -106,17 +106,18 @@ func TestReplicationStateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := src.ReplicationState()
+	ck := src.CheckpointCut(0)
+	rs := ck.Replication
 	if rs.Epoch != src.DeltaEpoch() {
 		t.Fatalf("captured epoch %d, want %d", rs.Epoch, src.DeltaEpoch())
 	}
-	if len(rs.Baselines) == 0 {
-		t.Fatal("no baselines captured")
+	if len(rs.Journal) == 0 {
+		t.Fatal("no journal tail captured")
 	}
 
 	// "Crash": rebuild from persisted state, restore the identity.
 	var buf bytes.Buffer
-	if err := src.Save(&buf); err != nil {
+	if err := ck.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	scheme, err := NewGammaScheme(s, m)
@@ -174,11 +175,12 @@ func TestRestoreTwiceFromOneStateMintsDistinctTokens(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	ck := src.CheckpointCut(0)
 	var state bytes.Buffer
-	if err := src.Save(&state); err != nil {
+	if err := ck.Save(&state); err != nil {
 		t.Fatal(err)
 	}
-	rs := src.ReplicationState()
+	rs := ck.Replication
 	boot := func() *CounterDelta {
 		c, err := LoadLiveCounter(bytes.NewReader(state.Bytes()), src.CounterScheme(), 1)
 		if err != nil {
@@ -205,9 +207,9 @@ func TestRestoreTwiceFromOneStateMintsDistinctTokens(t *testing.T) {
 	}
 }
 
-// TestRestoreReplicationStateDropsInvalidBaselines: a baseline the
-// recovered state does not dominate (its WAL tail died with the crash)
-// is dropped — its puller full-resyncs — and never corrupts the ring.
+// TestRestoreReplicationStateDropsInvalidBaselines: a journal tail the
+// recovered state does not dominate (counts it never held) is dropped —
+// its pullers full-resync — and never corrupts the retained tokens.
 func TestRestoreReplicationStateDropsInvalidBaselines(t *testing.T) {
 	s := deltaTestSchema(t)
 	m := deltaTestMatrix(t, s)
@@ -224,12 +226,21 @@ func TestRestoreReplicationStateDropsInvalidBaselines(t *testing.T) {
 	if _, err := src.DeltaSince(0); err != nil {
 		t.Fatal(err)
 	}
-	rs := src.ReplicationState()
-	// Poison the baseline: counts the recovered counter does not hold.
-	for i := range rs.Baselines {
-		rs.Baselines[i].Records = 9
-		for j := range rs.Baselines[i].Cells {
-			rs.Baselines[i].Cells[j].Count += 1000
+	for i := 0; i < 4; i++ {
+		if err := src.Add(randomRecord(s, rng)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rs := src.CheckpointCut(0).Replication
+	if len(rs.Journal) != 2 || rs.Journal[0].Records != 4 {
+		t.Fatalf("tail %+v, want the pull's segment carrying the 4 later records, then the checkpoint's", rs.Journal)
+	}
+	// Poison the tail, consistently with itself: counts the recovered
+	// counter does not hold.
+	for i := range rs.Journal {
+		for j := range rs.Journal[i].Cells {
+			rs.Journal[i].Cells[j].Count += 1000
+			rs.Journal[i].Records += 1000
 		}
 	}
 	restored, err := NewShardedGammaCounter(s, m, 1)
@@ -246,7 +257,7 @@ func TestRestoreReplicationStateDropsInvalidBaselines(t *testing.T) {
 	}
 	// The poisoned baseline was not retained: a pull against its token
 	// falls back to full, which is always safe.
-	d, err := restored.DeltaSince(rs.Baselines[0].Token)
+	d, err := restored.DeltaSince(rs.Journal[0].Token)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,20 +48,23 @@ type ShardedCounter struct {
 	// cache is keyed on.
 	version atomic.Uint64
 
-	// Replication baselines for DeltaSince (see delta.go): sparse joint
-	// histograms retained per issued stream token so the next pull diffs
-	// against exactly the state the puller holds. The ring lives and dies
-	// with the counter object — a restored counter starts empty, which is
-	// what forces pullers into a clean full resync. deltaEpoch is a
-	// random per-object nonce carried as the delta Generation: two
-	// counter objects (across restarts, restores, or publishes) can
-	// never share one, so a stream token can never alias a different
-	// object's state even if version lines and token values collide.
+	// Replication state for DeltaSince (see delta.go and journal.go): the
+	// retained tokens, oldest first, each a cut of every shard's change
+	// journal, so the next pull aggregates exactly the entries after the
+	// state the puller holds. The tokens live and die with the counter
+	// object — a restored counter starts with none unless a persisted
+	// journal tail is restored into it, otherwise pullers take a clean
+	// full resync. deltaEpoch is a random per-object nonce carried as the
+	// delta Generation: two counter objects (across restarts, restores,
+	// or publishes) can never share one, so a stream token can never
+	// alias a different object's state even if version lines and token
+	// values collide. repMu serializes pulls, checkpoint cuts and
+	// retention; retained mirrors len(tokens) for lock-free scrapes.
 	deltaEpoch     uint64
-	ckptMu         sync.Mutex
-	ckpts          map[uint64]*deltaCheckpoint
-	ckptOrder      []uint64
+	repMu          sync.Mutex
+	tokens         []*tokenCut
 	lastDeltaToken uint64
+	retained       atomic.Int64
 
 	// obs receives per-shard ingest telemetry. It is set once via
 	// SetIngestObserver before the counter starts taking traffic and read
@@ -101,7 +104,6 @@ func NewShardedCounter(scheme CounterScheme, shards int) (*ShardedCounter, error
 		scheme:     scheme,
 		shards:     make([]CounterCore, shards),
 		deltaEpoch: rand.Uint64(),
-		ckpts:      make(map[uint64]*deltaCheckpoint),
 	}
 	for i := range c.shards {
 		c.shards[i] = scheme.NewCore()
@@ -134,7 +136,6 @@ func NewLiveFromCore(scheme CounterScheme, core CounterCore) *ShardedCounter {
 		scheme:     scheme,
 		shards:     []CounterCore{core},
 		deltaEpoch: rand.Uint64(),
-		ckpts:      make(map[uint64]*deltaCheckpoint),
 	}
 	n := core.N()
 	c.next.Store(uint64(n))

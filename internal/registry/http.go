@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+
+	"repro/internal/service"
 )
 
 // HTTP surface of the registry.
@@ -158,9 +160,8 @@ func (r *Registry) handleDataPlane(w http.ResponseWriter, req *http.Request) {
 		httpError(w, http.StatusNotFound, err)
 		return
 	}
-	srv, err := col.Server()
-	if err != nil {
-		httpError(w, http.StatusServiceUnavailable, err)
+	srv := serverOf(w, col)
+	if srv == nil {
 		return
 	}
 	inner := "/v1/" + strings.TrimPrefix(req.PathValue("rest"), "v1/")
@@ -179,12 +180,25 @@ func (r *Registry) handleDefault(w http.ResponseWriter, req *http.Request) {
 			errors.New("registry: no default collection; use /v1/collections/{name}/..."))
 		return
 	}
+	if srv := serverOf(w, col); srv != nil {
+		srv.Handler().ServeHTTP(w, req)
+	}
+}
+
+// serverOf returns the collection's server, or answers 503 and returns
+// nil when it is not serving — with Retry-After while it is still
+// recovering, which service.Client honours once.
+func serverOf(w http.ResponseWriter, col *Collection) *service.Server {
 	srv, err := col.Server()
 	if err != nil {
+		select {
+		case <-col.ready:
+		default:
+			w.Header().Set("Retry-After", "1")
+		}
 		httpError(w, http.StatusServiceUnavailable, err)
-		return
 	}
-	srv.Handler().ServeHTTP(w, req)
+	return srv
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -411,6 +411,15 @@ func TestRegistryReadyzDuringRecovery(t *testing.T) {
 	if status, b := doJSON(t, ts2, "GET", "/v1/collections/slow/v1/schema", nil); status != http.StatusServiceUnavailable {
 		t.Fatalf("data plane during recovery: %d (%s), want 503", status, b)
 	}
+	// The 503 invites one retry: service.Client honours Retry-After.
+	resp, err = http.Get(ts2.URL + "/v1/collections/slow/v1/schema")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if got := resp.Header.Get("Retry-After"); resp.StatusCode != http.StatusServiceUnavailable || got != "1" {
+		t.Fatalf("data plane during recovery: %d with Retry-After %q, want 503 with 1", resp.StatusCode, got)
+	}
 	status, b := doJSON(t, ts2, "GET", "/v1/collections/slow", nil)
 	if status != http.StatusOK {
 		t.Fatalf("lifecycle GET during recovery: %d", status)

@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/url"
+	"strconv"
 	"time"
 
 	"repro/internal/core"
@@ -76,7 +77,7 @@ func NewClient(baseURL string, opts ...ClientOption) (*Client, error) {
 	if cfg.randomization < 0 || cfg.randomization > 1 {
 		return nil, fmt.Errorf("%w: randomization fraction %v", ErrService, cfg.randomization)
 	}
-	resp, err := cfg.httpClient.Get(baseURL + "/v1/schema")
+	resp, err := send(cfg.httpClient, http.MethodGet, baseURL+"/v1/schema", nil, nil)
 	if err != nil {
 		return nil, fmt.Errorf("service: fetching schema: %w", err)
 	}
@@ -271,7 +272,7 @@ func (c *Client) Submit(rec dataset.Record, rng *rand.Rand) error {
 	if err != nil {
 		return err
 	}
-	resp, err := c.http.Post(c.base+"/v1/submit", "application/json", bytes.NewReader(body))
+	resp, err := send(c.http, http.MethodPost, c.base+"/v1/submit", body, jsonContent)
 	if err != nil {
 		return err
 	}
@@ -382,15 +383,11 @@ func (c *Client) PrepareBatchWire(recs []dataset.Record, rng *rand.Rand, wire st
 
 // SubmitPrepared transmits a prepared batch.
 func (c *Client) SubmitPrepared(p *PreparedBatch) error {
-	req, err := http.NewRequest(http.MethodPost, c.base+"/v1/submit-batch", bytes.NewReader(p.body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", p.contentType)
+	header := http.Header{"Content-Type": {p.contentType}}
 	if p.fingerprint != "" {
-		req.Header.Set(FingerprintHeader, p.fingerprint)
+		header.Set(FingerprintHeader, p.fingerprint)
 	}
-	resp, err := c.http.Do(req)
+	resp, err := send(c.http, http.MethodPost, c.base+"/v1/submit-batch", p.body, header)
 	if err != nil {
 		return err
 	}
@@ -405,7 +402,7 @@ func (c *Client) SubmitPrepared(p *PreparedBatch) error {
 // (the server runs the request through its job pool and awaits it).
 func (c *Client) Mine(minsup, minconf float64, limit int) (*MineResponse, error) {
 	url := fmt.Sprintf("%s/v1/mine?minsup=%g&minconf=%g&limit=%d", c.base, minsup, minconf, limit)
-	resp, err := c.http.Get(url)
+	resp, err := send(c.http, http.MethodGet, url, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -435,7 +432,7 @@ func (c *Client) SubmitMineJob(p MineParams) (*JobResponse, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.http.Post(c.base+"/v1/mine-jobs", "application/json", bytes.NewReader(body))
+	resp, err := send(c.http, http.MethodPost, c.base+"/v1/mine-jobs", body, jsonContent)
 	if err != nil {
 		return nil, err
 	}
@@ -455,7 +452,7 @@ func (c *Client) SubmitMineJob(p MineParams) (*JobResponse, error) {
 
 // MineJob polls one job by id; done jobs include the full result.
 func (c *Client) MineJob(id string) (*JobResponse, error) {
-	resp, err := c.http.Get(c.base + "/v1/mine-jobs/" + url.PathEscape(id))
+	resp, err := send(c.http, http.MethodGet, c.base+"/v1/mine-jobs/"+url.PathEscape(id), nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -472,7 +469,7 @@ func (c *Client) MineJob(id string) (*JobResponse, error) {
 
 // MineJobs lists all retained jobs (without result payloads).
 func (c *Client) MineJobs() ([]JobResponse, error) {
-	resp, err := c.http.Get(c.base + "/v1/mine-jobs")
+	resp, err := send(c.http, http.MethodGet, c.base+"/v1/mine-jobs", nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -551,7 +548,7 @@ func (c *Client) QueryWindow(filters []QueryFilter, window string) (*QueryRespon
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.http.Post(c.base+"/v1/query", "application/json", bytes.NewReader(body))
+	resp, err := send(c.http, http.MethodPost, c.base+"/v1/query", body, jsonContent)
 	if err != nil {
 		return nil, err
 	}
@@ -586,7 +583,7 @@ func (c *Client) Query(filter QueryFilter) (QueryEstimate, error) {
 // coordinators (internal/federation); exposed here so external tooling
 // can mirror a site's privacy-safe counts too.
 func (c *Client) Replicate(since, gen uint64) (*mining.CounterDelta, error) {
-	resp, err := c.http.Get(fmt.Sprintf("%s/v1/replicate?since=%d&gen=%d", c.base, since, gen))
+	resp, err := send(c.http, http.MethodGet, fmt.Sprintf("%s/v1/replicate?since=%d&gen=%d", c.base, since, gen), nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -617,7 +614,7 @@ func (c *Client) FederationStats() (*federation.Stats, error) {
 
 // Stats queries the collection state.
 func (c *Client) Stats() (*StatsResponse, error) {
-	resp, err := c.http.Get(c.base + "/v1/stats")
+	resp, err := send(c.http, http.MethodGet, c.base+"/v1/stats", nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -657,6 +654,39 @@ func (c *Client) encodeBoolRecord(m *core.BoolMapping, row uint64) BoolRecordJSO
 		}
 	}
 	return out
+}
+
+// jsonContent is the header of every JSON request body.
+var jsonContent = http.Header{"Content-Type": {"application/json"}}
+
+// maxRetryAfter caps the wait a 503's Retry-After may impose.
+const maxRetryAfter = 5 * time.Second
+
+// send issues one request (body nil for none), retrying exactly once
+// when the server answers 503 with a Retry-After in seconds — a
+// collection still recovering at boot — after the advertised wait,
+// capped at maxRetryAfter. Any other answer, including a 503 without
+// the header (backpressure such as a full job queue), is returned as is.
+func send(hc *http.Client, method, url string, body []byte, header http.Header) (*http.Response, error) {
+	for retried := false; ; retried = true {
+		req, err := http.NewRequest(method, url, bytes.NewReader(body))
+		if err != nil {
+			return nil, err
+		}
+		for k, v := range header {
+			req.Header[k] = v
+		}
+		resp, err := hc.Do(req)
+		if err != nil || retried || resp.StatusCode != http.StatusServiceUnavailable {
+			return resp, err
+		}
+		secs, err := strconv.Atoi(resp.Header.Get("Retry-After"))
+		if err != nil || secs < 0 {
+			return resp, nil
+		}
+		drain(resp.Body)
+		time.Sleep(min(time.Duration(secs)*time.Second, maxRetryAfter))
+	}
 }
 
 func drain(body io.ReadCloser) {

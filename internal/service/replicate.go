@@ -21,7 +21,7 @@ import (
 // existed server-side in the FRAPP trust model). `since` is the stream
 // position the caller's previous pull returned (0 for first contact),
 // `gen` the counter generation it was returned under; a generation
-// mismatch, an unretained baseline, or since=0 all produce a FULL delta
+// mismatch, an unretained token, or since=0 all produce a FULL delta
 // the caller applies from scratch, so a chain can never silently skew.
 //
 // A server with EnableFederation becomes a coordinator: its counter is
@@ -55,7 +55,7 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	}
 	// A caller chained onto a different counter object — a different
 	// delta epoch — gets a full delta: the object it replicated from is
-	// gone, and so are its baselines. The epoch is a per-object random
+	// gone, and so are its tokens. The epoch is a per-object random
 	// nonce (not the cache generation, which restarts at small values
 	// every process and could collide across a crash-reboot), so a stale
 	// (since, gen) pair can never be satisfied incrementally against a

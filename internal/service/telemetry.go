@@ -262,6 +262,21 @@ func (m *serverMetrics) wireServer(s *Server) {
 	m.reg.GaugeFunc("frapp_records",
 		"Perturbed records in the live counter.",
 		func() float64 { return float64(s.N()) }, m.lbl()...)
+	m.reg.GaugeFunc("frapp_replication_journal_entries",
+		"Change-journal entries the live counter retains for WAL appends and replication pulls.",
+		func() float64 { e, _ := s.replicationJournal(); return float64(e) }, m.lbl()...)
+	m.reg.GaugeFunc("frapp_replication_tokens_retained",
+		"Replication tokens the live counter retains; a pull from any other token is served full.",
+		func() float64 { _, t := s.replicationJournal(); return float64(t) }, m.lbl()...)
+}
+
+// replicationJournal samples the live counter's change journal; a
+// windowed counter keeps none.
+func (s *Server) replicationJournal() (entries, tokens int) {
+	if c, ok := s.ctr().(*mining.ShardedCounter); ok {
+		return c.ReplicationJournal()
+	}
+	return 0, 0
 }
 
 // observeCounter installs the ingest observer on any counter exposing

@@ -265,6 +265,33 @@ func TestTelemetryMiddlewareRecords(t *testing.T) {
 	if missing := expo.CheckFamilies(reg.Families()); len(missing) > 0 {
 		t.Errorf("scrape missing declared families: %v", missing)
 	}
+
+	// Nobody has pulled, so nothing is journaled; a replication pull
+	// mints a token and the next record is journaled.
+	journal := func() (entries, tokens float64) {
+		var buf bytes.Buffer
+		if err := reg.WriteText(&buf); err != nil {
+			t.Fatal(err)
+		}
+		expo, err := telemetry.ParseExposition(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries, _ = expo.Value("frapp_replication_journal_entries", nil)
+		tokens, _ = expo.Value("frapp_replication_tokens_retained", nil)
+		return entries, tokens
+	}
+	if e, tk := journal(); e != 0 || tk != 0 {
+		t.Errorf("journal gauges before any pull: %v entries, %v tokens, want 0, 0", e, tk)
+	}
+	if w := telemetryDo(t, h, "GET", "/v1/replicate?since=0", "", nil, nil); w.Code != http.StatusOK {
+		t.Fatalf("replicate: %d %s", w.Code, w.Body)
+	}
+	telemetryDo(t, h, "POST", "/v1/submit", "application/json",
+		[]byte(`{"a":"a0","b":"b1","c":"c0"}`), nil)
+	if e, tk := journal(); e != 1 || tk != 1 {
+		t.Errorf("journal gauges after a pull and a submit: %v entries, %v tokens, want 1, 1", e, tk)
+	}
 }
 
 // nullWriter is a reusable ResponseWriter for alloc measurements: the

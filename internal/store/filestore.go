@@ -23,7 +23,8 @@ import (
 // On-disk layout of a FileStore directory:
 //
 //	checkpoint-<seq>.ckpt  gob checkpointFile: full counter state at one
-//	                       WAL token, plus the replication identity
+//	                       WAL token, plus the replication identity and
+//	                       the retained change-journal tail
 //	wal-<seq>.log          framed header + CounterDelta records chained
 //	                       from checkpoint <seq>'s token
 //
@@ -37,7 +38,11 @@ import (
 const (
 	checkpointMagic = "frapp-checkpoint"
 	walMagic        = "frapp-wal"
-	formatVersion   = 1
+	// checkpointVersion 2 carries the replication journal tail; version 1
+	// (full replication baselines) is still read, keeping only its
+	// checkpoint token. The WAL format is unchanged since version 1.
+	checkpointVersion = 2
+	walVersion        = 1
 
 	checkpointSuffix = ".ckpt"
 	walSuffix        = ".log"
@@ -200,15 +205,17 @@ func (s *FileStore) recover(scheme mining.CounterScheme, shards int) (*mining.Sh
 			}
 			continue
 		}
-		token, err := s.replayWAL(counter, ck.Seq, ck.WALToken)
-		if err != nil {
+		// The tail must end at the checkpoint token. A v1 checkpoint
+		// carries full baselines instead, of which only the checkpoint's
+		// own token is kept.
+		rs := ck.Replication
+		if k := len(rs.Journal); k == 0 || rs.Journal[k-1].Token != ck.WALToken {
+			rs.Journal = []mining.JournalSegment{{Token: ck.WALToken}}
+		}
+		if err := s.replayWAL(counter, ck.Seq, &rs); err != nil {
 			return nil, err
 		}
-		if ck.Replication.Epoch != 0 {
-			rs := ck.Replication
-			if token > rs.LastToken {
-				rs.LastToken = token
-			}
+		if rs.Epoch != 0 {
 			if err := counter.RestoreReplicationState(rs); err != nil {
 				return nil, err
 			}
@@ -231,7 +238,7 @@ func (s *FileStore) loadCheckpoint(seq uint64, scheme mining.CounterScheme, shar
 	if err := gob.NewDecoder(bufio.NewReader(f)).Decode(&ck); err != nil {
 		return nil, nil, fmt.Errorf("checkpoint %s: %w: %v", path, mining.ErrCorruptState, err)
 	}
-	if ck.Magic != checkpointMagic || ck.Version != formatVersion || ck.Seq != seq {
+	if ck.Magic != checkpointMagic || ck.Version < 1 || ck.Version > checkpointVersion || ck.Seq != seq {
 		return nil, nil, fmt.Errorf("checkpoint %s: %w: bad header (magic %q, version %d, seq %d)",
 			path, mining.ErrCorruptState, ck.Magic, ck.Version, ck.Seq)
 	}
@@ -242,31 +249,32 @@ func (s *FileStore) loadCheckpoint(seq uint64, scheme mining.CounterScheme, shar
 	return counter, &ck, nil
 }
 
-// replayWAL folds every decodable WAL record chained after (seq, token)
-// into the counter and returns the last applied token. Corruption — a
-// torn frame, a CRC mismatch, a broken chain — ends the replay at the
-// last good record; it is never fatal, because everything before the
-// tear is a consistent prefix of the acknowledged-and-flushed records.
-func (s *FileStore) replayWAL(counter *mining.ShardedCounter, seq, token uint64) (uint64, error) {
+// replayWAL folds every decodable WAL record chained after checkpoint
+// seq's token (the newest token of rs) into the counter, extending rs
+// with each. Corruption — a torn frame, a CRC mismatch, a broken chain —
+// ends the replay at the last good record; it is never fatal, because
+// everything before the tear is a consistent prefix of the
+// acknowledged-and-flushed records.
+func (s *FileStore) replayWAL(counter *mining.ShardedCounter, seq uint64, rs *mining.ReplicationState) error {
 	seqs, err := s.listSeqs(walSuffix)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	for _, ws := range seqs {
 		if ws < seq {
 			continue
 		}
-		ok, err := s.replaySegment(counter, ws, &token)
+		ok, err := s.replaySegment(counter, ws, rs)
 		if err != nil || !ok {
-			return token, err
+			return err
 		}
 	}
-	return token, nil
+	return nil
 }
 
 // replaySegment replays one segment; ok=false means the chain ended
 // inside it (tear or break), so later segments must not be applied.
-func (s *FileStore) replaySegment(counter *mining.ShardedCounter, seq uint64, token *uint64) (bool, error) {
+func (s *FileStore) replaySegment(counter *mining.ShardedCounter, seq uint64, rs *mining.ReplicationState) (bool, error) {
 	f, err := os.Open(s.walPath(seq))
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
@@ -286,7 +294,7 @@ func (s *FileStore) replaySegment(counter *mining.ShardedCounter, seq uint64, to
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&hdr); err != nil {
 		return false, nil
 	}
-	if hdr.Magic != walMagic || hdr.Version != formatVersion || hdr.Seq != seq || hdr.StartToken != *token {
+	if hdr.Magic != walMagic || hdr.Version != walVersion || hdr.Seq != seq || hdr.StartToken != rs.Journal[len(rs.Journal)-1].Token {
 		return false, nil // not the segment this chain expects
 	}
 	for {
@@ -301,13 +309,13 @@ func (s *FileStore) replaySegment(counter *mining.ShardedCounter, seq uint64, to
 		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&d); err != nil {
 			return false, nil
 		}
-		if d.Full() || d.FromVersion != *token {
+		if d.Full() || d.FromVersion != rs.Journal[len(rs.Journal)-1].Token {
 			return false, nil // chain break: treat like a tear
 		}
 		if err := counter.ApplyDelta(&d); err != nil {
 			return false, fmt.Errorf("replaying %s: %w", s.walPath(seq), err)
 		}
-		*token = d.ToVersion
+		rs.Extend(&d)
 	}
 }
 
@@ -331,10 +339,10 @@ func (s *FileStore) Attach(counter *mining.ShardedCounter) error {
 
 // Append implements StateStore: one DeltaSince pull chained onto the
 // last appended token, framed into the current WAL segment. When the
-// counter no longer retains the chain baseline (possible when many
-// replication pullers churn the baseline ring between flushes), the
-// delta comes back FULL — then the store compacts instead of appending,
-// which restores a clean chain.
+// counter no longer retains the chain token (trimmed by many interleaved
+// replication pullers, or a journal dropped for outgrowing its budget),
+// the delta comes back FULL — then the store compacts instead of
+// appending, which restores a clean chain.
 func (s *FileStore) Append() error {
 	start := time.Now()
 	n, records, fsyncDur, err := s.append()
@@ -403,58 +411,42 @@ func (s *FileStore) checkpoint() error {
 // compact is the checkpoint body, returning the serialized state size
 // for telemetry.
 func (s *FileStore) compact() (int, error) {
-	// One full pull both captures the state and retains its baseline in
-	// the counter's ring, so the checkpoint token is a real stream
-	// position the WAL chain and replication pullers can chain onto.
-	d, err := s.counter.DeltaSince(0)
-	if err != nil {
-		return 0, err
-	}
+	// The checkpoint cut saves the state exactly at a real stream token
+	// the WAL chain and replication pullers can chain onto.
+	cut := s.counter.CheckpointCut(s.lastToken)
 	// Bridge the outgoing segment onto the checkpoint token: appending
 	// the pending tail to the old WAL lets a recovery that falls back
 	// past a corrupt checkpoint file chain straight through into the
 	// next segment. Best-effort — a failure here only shortens the
 	// fallback prefix, never the primary recovery path.
-	if s.wal != nil && s.lastToken != d.ToVersion {
-		if inc, err := s.counter.DeltaSince(s.lastToken); err == nil && !inc.Full() && inc.ToVersion != s.lastToken {
-			var buf bytes.Buffer
-			if gob.NewEncoder(&buf).Encode(inc) == nil && s.writeFrame(buf.Bytes()) == nil {
-				s.wal.Sync()
-				s.lastToken = inc.ToVersion
-			}
+	if s.wal != nil && cut.Bridge != nil {
+		var buf bytes.Buffer
+		if gob.NewEncoder(&buf).Encode(cut.Bridge) == nil && s.writeFrame(buf.Bytes()) == nil {
+			s.wal.Sync()
+			s.lastToken = cut.Token
 		}
 	}
-	// Rebuild a frozen counter from the delta: its serialized form is
-	// the state at exactly d.ToVersion, unaffected by records still
-	// arriving on the live counter.
-	frozen, err := mining.NewShardedCounter(s.counter.CounterScheme(), 1)
-	if err != nil {
-		return 0, err
-	}
-	if err := frozen.ApplyDelta(d); err != nil {
-		return 0, err
-	}
 	var state bytes.Buffer
-	if err := frozen.Save(&state); err != nil {
+	if err := cut.Save(&state); err != nil {
 		return 0, err
 	}
 	newSeq := s.seq + 1
 	ck := checkpointFile{
 		Magic:       checkpointMagic,
-		Version:     formatVersion,
+		Version:     checkpointVersion,
 		Seq:         newSeq,
-		WALToken:    d.ToVersion,
-		Replication: s.counter.ReplicationState(),
+		WALToken:    cut.Token,
+		Replication: cut.Replication,
 		State:       state.Bytes(),
 	}
 	if err := s.writeCheckpointFile(&ck); err != nil {
 		return state.Len(), err
 	}
-	if err := s.rotateWAL(newSeq, d.ToVersion); err != nil {
+	if err := s.rotateWAL(newSeq, cut.Token); err != nil {
 		return state.Len(), err
 	}
 	s.seq = newSeq
-	s.lastToken = d.ToVersion
+	s.lastToken = cut.Token
 	s.sinceCkpt = 0
 	s.prune(newSeq - 1)
 	return state.Len(), nil
@@ -509,7 +501,7 @@ func (s *FileStore) rotateWAL(seq, token uint64) error {
 	s.wal = f
 	s.walBytes = 0
 	var buf bytes.Buffer
-	hdr := walHeader{Magic: walMagic, Version: formatVersion, Seq: seq, StartToken: token}
+	hdr := walHeader{Magic: walMagic, Version: walVersion, Seq: seq, StartToken: token}
 	if err := gob.NewEncoder(&buf).Encode(&hdr); err != nil {
 		return err
 	}

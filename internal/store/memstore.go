@@ -39,21 +39,15 @@ func (s *MemStore) Recover(scheme mining.CounterScheme, shards int) (*mining.Sha
 	if err != nil {
 		return nil, err
 	}
-	token := s.ckptRepl.LastToken
+	rs := s.ckptRepl
 	for _, d := range s.wal {
 		if err := counter.ApplyDelta(d); err != nil {
 			return nil, err
 		}
-		token = d.ToVersion
+		rs.Extend(d)
 	}
-	if s.ckptRepl.Epoch != 0 {
-		rs := s.ckptRepl
-		if token > rs.LastToken {
-			rs.LastToken = token
-		}
-		if err := counter.RestoreReplicationState(rs); err != nil {
-			return nil, err
-		}
+	if err := counter.RestoreReplicationState(rs); err != nil {
+		return nil, err
 	}
 	return counter, nil
 }
@@ -97,26 +91,15 @@ func (s *MemStore) Checkpoint() error {
 	if err := s.attached(); err != nil {
 		return err
 	}
-	d, err := s.counter.DeltaSince(0)
-	if err != nil {
-		return err
-	}
-	frozen, err := mining.NewShardedCounter(s.counter.CounterScheme(), 1)
-	if err != nil {
-		return err
-	}
-	if err := frozen.ApplyDelta(d); err != nil {
-		return err
-	}
+	cut := s.counter.CheckpointCut(0)
 	var state bytes.Buffer
-	if err := frozen.Save(&state); err != nil {
+	if err := cut.Save(&state); err != nil {
 		return err
 	}
 	s.ckptState = state.Bytes()
-	s.ckptRepl = s.counter.ReplicationState()
-	s.ckptRepl.LastToken = d.ToVersion
+	s.ckptRepl = cut.Replication
 	s.wal = nil
-	s.lastToken = d.ToVersion
+	s.lastToken = cut.Token
 	s.sinceCkpt = 0
 	return nil
 }

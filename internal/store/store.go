@@ -13,7 +13,7 @@
 // crash recovers by loading the newest valid checkpoint and replaying
 // the WAL tail; a torn trailing record ends the replay, it is never
 // fatal. Checkpoints also carry the counter's replication identity
-// (delta epoch + retained baselines), so federation pullers resume
+// (delta epoch + change-journal tail), so federation pullers resume
 // incremental replication against the recovered counter instead of
 // being forced into a full re-pull.
 package store
