@@ -201,20 +201,9 @@ func run(ctx context.Context, cfg serverConfig) error {
 	default:
 		return fmt.Errorf("unknown schema %q", cfg.schema)
 	}
-	if cfg.peers != "" && cfg.state != "" {
-		return errors.New("-state cannot be combined with -peers: a coordinator's counter is rebuilt from its peers, which own the durable state")
-	}
 	windowed := cfg.windowBuckets != 0 || cfg.windowBucket != 0
-	if windowed {
-		if cfg.windowBuckets == 0 || cfg.windowBucket == 0 {
-			return errors.New("-window-buckets and -window-bucket must be set together")
-		}
-		if cfg.state != "" {
-			return errors.New("-state cannot be combined with a sliding window: bucket expiry is wall-clock-defined and cannot be replayed")
-		}
-		if cfg.peers != "" {
-			return errors.New("-peers cannot be combined with a sliding window: expiry cannot be replicated")
-		}
+	if windowed && (cfg.windowBuckets == 0 || cfg.windowBucket == 0) {
+		return errors.New("-window-buckets and -window-bucket must be set together")
 	}
 	syncMode := store.SyncAlways
 	switch cfg.walSync {
@@ -276,6 +265,14 @@ func run(ctx context.Context, cfg serverConfig) error {
 	if windowed {
 		opts = append(opts, service.WithWindow(cfg.windowBuckets, cfg.windowBucket))
 	}
+	if cfg.peers != "" {
+		// NewServer builds the coordinator over the server's OWN scheme
+		// contract, so a peer running a different scheme is rejected,
+		// never merged.
+		opts = append(opts, service.WithPeers(strings.Split(cfg.peers, ","),
+			federation.WithSyncInterval(cfg.syncInterval),
+			federation.WithMetrics(reg)))
+	}
 
 	var (
 		srv *service.Server
@@ -322,24 +319,9 @@ func run(ctx context.Context, cfg serverConfig) error {
 	}
 	colReg.Store(tenants)
 
-	var coord *federation.Coordinator
-	if cfg.peers == "" {
+	if coord := srv.Coordinator(); coord == nil {
 		warm.Store(true)
 	} else {
-		// The coordinator is built over the server's OWN scheme contract
-		// (not a re-derived one), so its compatibility fingerprint can
-		// never drift from what ReplaceCounter will accept — and a peer
-		// running a different scheme is rejected, never merged.
-		coord, err = federation.NewCoordinator(srv.CounterScheme(), strings.Split(cfg.peers, ","),
-			srv.ReplaceCounter,
-			federation.WithSyncInterval(cfg.syncInterval),
-			federation.WithMetrics(reg))
-		if err != nil {
-			return err
-		}
-		if err := srv.EnableFederation(coord); err != nil {
-			return err
-		}
 		// Warm first view; per-peer failures are logged, not fatal — the
 		// background loop keeps retrying with backoff. /readyz flips to
 		// ready once the warm pass completes (degraded peers show up in
@@ -361,21 +343,14 @@ func run(ctx context.Context, cfg serverConfig) error {
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	select {
 	case err := <-errc:
-		// Listen failed before any graceful shutdown: stop the sync loop
-		// and report; deliberately no persist (see the run doc comment).
-		if coord != nil {
-			coord.Close()
-		}
+		// Listen failed before any graceful shutdown: report;
+		// deliberately no persist (see the run doc comment). The deferred
+		// srv.Close stops the sync loop.
 		if err != nil && !errors.Is(err, http.ErrServerClosed) {
 			return err
 		}
 	case <-ctx.Done():
 		log.Printf("frapp-server: shutting down")
-		// Stop pulling (and publishing) before draining HTTP, so the
-		// counter stops moving under the final in-flight responses.
-		if coord != nil {
-			coord.Close()
-		}
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		if err := httpSrv.Shutdown(shutdownCtx); err != nil {

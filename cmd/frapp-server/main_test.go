@@ -24,8 +24,10 @@ func TestRunValidation(t *testing.T) {
 	if err := run(ctx, serverConfig{addr: ":0", schema: "census", rho1: 0.5, rho2: 0.05}); err == nil {
 		t.Fatal("inverted privacy spec accepted")
 	}
+	// The store opens before NewServer rejects the mode pair, so the
+	// state directory must be a scratch one.
 	if err := run(ctx, serverConfig{addr: ":0", schema: "census", rho1: 0.05, rho2: 0.5,
-		state: "state.gob", peers: "http://a:1"}); err == nil {
+		state: filepath.Join(t.TempDir(), "state"), peers: "http://a:1"}); err == nil {
 		t.Fatal("-state accepted together with -peers")
 	}
 	if err := run(ctx, serverConfig{addr: ":0", schema: "census", rho1: 0.05, rho2: 0.5,

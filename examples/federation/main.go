@@ -45,16 +45,12 @@ func main() {
 		peerURL = append(peerURL, ts.URL)
 	}
 
-	// One coordinator serving the merged global view, built over the
-	// coordinator server's own scheme contract so the contracts cannot
-	// drift.
-	coordSrv, err := frapp.NewCollectionServer(schema, priv)
+	// One coordinator serving the merged global view: WithPeers builds
+	// its sync loop over the coordinator server's own scheme contract,
+	// so the contracts cannot drift, and Close stops the loop.
+	coordSrv, err := frapp.NewCollectionServer(schema, priv, frapp.WithPeers(peerURL))
 	check(err)
 	defer coordSrv.Close()
-	coord, err := frapp.NewFederationCoordinator(coordSrv.CounterScheme(), peerURL, coordSrv.ReplaceCounter)
-	check(err)
-	defer coord.Close()
-	check(coordSrv.EnableFederation(coord))
 	coordTS := httptest.NewServer(coordSrv.Handler())
 	defer coordTS.Close()
 
@@ -71,8 +67,8 @@ func main() {
 	}
 
 	// One synchronous pull of every site (production uses the jittered
-	// background loop via coord.Start()).
-	check(coord.SyncAll(context.Background()))
+	// background loop via Coordinator().Start()).
+	check(coordSrv.Coordinator().SyncAll(context.Background()))
 
 	coordClient, err := frapp.NewCollectionClient(coordTS.URL, frapp.WithHTTPClient(coordTS.Client()))
 	check(err)

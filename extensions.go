@@ -113,9 +113,11 @@ type (
 )
 
 var (
-	// NewFederationCoordinator validates a peer registry and prepares the
-	// sync loop; wire its publish hook to CollectionServer.ReplaceCounter.
-	NewFederationCoordinator = federation.NewCoordinator
+	// WithPeers makes a collection server a federation coordinator over
+	// the given peer servers: NewCollectionServer builds the sync loop
+	// (FederationCoordinator, reached through Coordinator) over the
+	// server's own scheme contract, and Close stops it.
+	WithPeers = service.WithPeers
 	// WithSyncInterval sets the coordinator's per-peer pull interval.
 	WithSyncInterval = federation.WithSyncInterval
 	// WithSyncRequestTimeout bounds one replication request.

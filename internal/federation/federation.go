@@ -33,8 +33,9 @@
 // Every successful pull that changed anything rebuilds the merged global
 // counter and publishes it (together with the per-peer version vector it
 // reflects) through a caller-supplied publish hook — in the collection
-// service, Server.ReplaceCounter, which atomically swaps the counter the
-// /v1/query, /v1/mine, and /v1/stats handlers answer from.
+// service, the hook of a server built WithPeers, which atomically swaps
+// the counter the /v1/query, /v1/mine, and /v1/stats handlers answer
+// from.
 package federation
 
 import (
@@ -230,8 +231,8 @@ type Coordinator struct {
 // over one scheme contract — every peer must run the same scheme, schema,
 // and parameters, sealed into the contract's fingerprint. publish is
 // invoked with each freshly merged global counter and the per-peer
-// version vector it reflects (Server.ReplaceCounter in the collection
-// service); counter and vector are allocated per publish and never
+// version vector it reflects (in the collection service, the hook of a
+// server built WithPeers); counter and vector are allocated per publish and never
 // touched again, so the hook may retain both. Nothing is pulled until
 // Start (background loops) or SyncAll (one synchronous pass).
 func NewCoordinator(scheme mining.CounterScheme, peerURLs []string,

@@ -136,26 +136,19 @@ func newSite(t testing.TB, schema *dataset.Schema) *site {
 // newCoordinator builds a coordinator server federated over the sites.
 func newCoordinator(t testing.TB, schema *dataset.Schema, sites []*site, opts ...federation.Option) (*service.Server, *federation.Coordinator, *httptest.Server) {
 	t.Helper()
-	srv, err := service.NewServer(schema, testSpec, service.WithScheme(stressScheme(t)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Close)
 	urls := make([]string, len(sites))
 	for i, s := range sites {
 		urls[i] = s.ts.URL
 	}
-	coord, err := federation.NewCoordinator(srv.CounterScheme(), urls, srv.ReplaceCounter, opts...)
+	srv, err := service.NewServer(schema, testSpec, service.WithScheme(stressScheme(t)),
+		service.WithPeers(urls, opts...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(coord.Close)
-	if err := srv.EnableFederation(coord); err != nil {
-		t.Fatal(err)
-	}
+	t.Cleanup(srv.Close)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	return srv, coord, ts
+	return srv, srv.Coordinator(), ts
 }
 
 func encodeRecord(schema *dataset.Schema, rec dataset.Record) service.RecordJSON {

@@ -357,7 +357,7 @@ func TestBitMomentsMatchSweep(t *testing.T) {
 
 			// Save and restore at another shard count.
 			var buf bytes.Buffer
-			if err := two.Save(&buf); err != nil {
+			if err := two.CheckpointCut(0).Save(&buf); err != nil {
 				t.Fatal(err)
 			}
 			restored, err := LoadLiveCounter(&buf, mc.scheme, 3)

@@ -477,7 +477,7 @@ func TestNewLiveFromCoreServesMergedState(t *testing.T) {
 	countersEqual(t, src, replica)
 	// Still save/load compatible (the persist path of a coordinator).
 	var buf bytes.Buffer
-	if err := wrapped.Save(&buf); err != nil {
+	if err := wrapped.CheckpointCut(0).Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := LoadLiveCounter(&buf, scheme, 1)

@@ -312,7 +312,7 @@ func TestLiveSchemesPersistRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			var buf bytes.Buffer
-			if err := orig.Save(&buf); err != nil {
+			if err := orig.CheckpointCut(0).Save(&buf); err != nil {
 				t.Fatal(err)
 			}
 			raw := buf.Bytes()

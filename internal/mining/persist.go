@@ -117,14 +117,6 @@ func (c *MaterializedGammaCounter) restoreShard(sh shardState) error {
 	return nil
 }
 
-// save serializes every shard of a live counter in the scheme-tagged v3
-// format. Each shard is deep-copied under its own lock first, so
-// submissions may keep arriving while the state streams out.
-func (c *ShardedCounter) save(w io.Writer) error {
-	st := c.stateOf(c.cutShards(cutState, nil))
-	return gob.NewEncoder(w).Encode(&st)
-}
-
 // stateOf assembles the v3 state of a cutState cut.
 func (c *ShardedCounter) stateOf(cut counterCut) counterState {
 	st := c.shards[0].stateMeta()
@@ -155,10 +147,11 @@ func decodeState(r io.Reader) (*counterState, error) {
 	return &st, nil
 }
 
-// LoadLiveCounter restores a live counter saved with ShardedCounter.Save,
-// validating the scheme identity, scheme parameters, and every
-// structural invariant against the supplied contract before accepting
-// the state. The live shard count is the
+// LoadLiveCounter restores a live counter from the v3 state written by
+// CounterCheckpoint.Save (of a ShardedCounter.CheckpointCut), the one
+// writer of counter state. It validates the scheme identity, scheme
+// parameters, and every structural invariant against the supplied
+// contract before accepting the state. The live shard count is the
 // caller's choice, not the file's: saved shard i folds into live shard
 // i mod shards, so state round-trips across -shards changes and across
 // the single↔sharded counter boundary.

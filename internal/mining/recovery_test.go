@@ -301,7 +301,7 @@ func TestDecodeStateWrapsCorruptPayloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := src.Save(&buf); err != nil {
+	if err := src.CheckpointCut(0).Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	mask, err := SchemeForContract(SchemeMask, s, 19)

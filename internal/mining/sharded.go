@@ -2,7 +2,6 @@ package mining
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -348,6 +347,3 @@ func (c *ShardedCounter) Estimates(filters []Itemset) ([]PointEstimate, int, err
 	}
 	return ests, b.records(), nil
 }
-
-// Save serializes the counter; see persist.go.
-func (c *ShardedCounter) Save(w io.Writer) error { return c.save(w) }

@@ -276,7 +276,7 @@ func TestShardedPersistRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := orig.Save(&buf); err != nil {
+	if err := orig.CheckpointCut(0).Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -320,7 +320,7 @@ func TestShardedLoadRejectsBadState(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
+	if err := c.CheckpointCut(0).Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -345,7 +345,7 @@ func TestShardedLoadRejectsBadState(t *testing.T) {
 	// Tampered per-shard totals must be rejected.
 	c.shards[1].(*MaterializedGammaCounter).hists[1][0] += 5
 	var tampered bytes.Buffer
-	if err := c.Save(&tampered); err != nil {
+	if err := c.CheckpointCut(0).Save(&tampered); err != nil {
 		t.Fatal(err)
 	}
 	if err := load(&tampered, sc, m); !errors.Is(err, ErrMining) {
@@ -405,7 +405,7 @@ func TestShardedSnapshotVersion(t *testing.T) {
 	wg.Wait()
 
 	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
+	if err := c.CheckpointCut(0).Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	restored, err := LoadLiveCounter(&buf, c.CounterScheme(), 2)

@@ -17,7 +17,7 @@ import (
 
 // goldenV3 is testdata/v3-golden.json: the contract and content of the
 // committed v3 state payloads. Each testdata/v3-<scheme>.gob is one
-// ShardedCounter.Save of a saved_shards-shard counter fed the perturbed
+// saved v3 state of a saved_shards-shard counter fed the perturbed
 // records of buildSkewedDB(t, 1500, 4242) (perturbation seed 4243, the
 // liveSchemes generators), with N and the supports of itemsets recorded
 // at the same time. The payloads are never regenerated: they pin the

@@ -195,7 +195,7 @@ func (s *CollectionSpec) key() string {
 }
 
 // Collection is one live tenant: a spec plus the server built from it.
-// srv, coord, and err are written exactly once, before ready closes.
+// srv and err are written exactly once, before ready closes.
 type Collection struct {
 	name    string
 	spec    CollectionSpec
@@ -203,7 +203,6 @@ type Collection struct {
 
 	ready chan struct{}
 	srv   *service.Server
-	coord *federation.Coordinator
 	err   error
 }
 
@@ -244,14 +243,11 @@ func (c *Collection) AwaitReady() error {
 	return c.err
 }
 
-// close shuts the collection down: the federation loop first (so the
-// counter stops moving), then a best-effort final checkpoint, then the
-// server (which owns and closes its store).
+// close shuts the collection down: a best-effort final checkpoint, then
+// the server (which stops its federation loop and owns and closes its
+// store).
 func (c *Collection) close() {
 	<-c.ready
-	if c.coord != nil {
-		c.coord.Close()
-	}
 	if c.srv != nil {
 		_ = c.srv.CheckpointNow()
 		c.srv.Close()
@@ -562,19 +558,19 @@ func (r *Registry) build(col *Collection) {
 	if d := r.buildDelay; d != nil {
 		d(col.name)
 	}
-	col.srv, col.coord, col.err = r.buildCollection(col.name, col.spec)
+	col.srv, col.err = r.buildCollection(col.name, col.spec)
 	close(col.ready)
 }
 
 // buildCollection assembles one tenant's full vertical slice from its
 // spec: scheme contract, counter (ring or plain), job pool, telemetry
-// under the collection label, and — durable, non-windowed,
-// non-federated specs only — the tenant store, recovered before the
-// server takes traffic.
-func (r *Registry) buildCollection(name string, spec CollectionSpec) (*service.Server, *federation.Coordinator, error) {
+// under the collection label, the started federation loop of a spec
+// with peers, and — durable, non-windowed, non-federated specs only —
+// the tenant store, recovered before the server takes traffic.
+func (r *Registry) buildCollection(name string, spec CollectionSpec) (*service.Server, error) {
 	schema, err := spec.schema()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	opts := []service.Option{
 		service.WithScheme(spec.Scheme),
@@ -593,17 +589,27 @@ func (r *Registry) buildCollection(name string, spec CollectionSpec) (*service.S
 	case spec.windowed():
 		bucket, err := time.ParseDuration(spec.WindowBucket)
 		if err != nil {
-			return nil, nil, fmt.Errorf("%w: %v", ErrRegistry, err)
+			return nil, fmt.Errorf("%w: %v", ErrRegistry, err)
 		}
 		opts = append(opts, service.WithWindow(spec.WindowBuckets, bucket))
-	case r.baseDir != "" && len(spec.Peers) == 0:
+	case len(spec.Peers) > 0:
+		var fopts []federation.Option
+		if spec.SyncInterval != "" {
+			d, _ := time.ParseDuration(spec.SyncInterval)
+			fopts = append(fopts, federation.WithSyncInterval(d))
+		}
+		// No federation metrics here: the federation instruments are
+		// registered un-labeled, so only the process's default
+		// coordinator (frapp-server -peers) exposes them.
+		opts = append(opts, service.WithPeers(spec.Peers, fopts...))
+	case r.baseDir != "":
 		dir := r.tenantDir(name)
 		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, nil, fmt.Errorf("%w: %v", ErrRegistry, err)
+			return nil, fmt.Errorf("%w: %v", ErrRegistry, err)
 		}
 		fs, err := store.Open(dir, store.WithSyncMode(r.sync))
 		if err != nil {
-			return nil, nil, fmt.Errorf("%w: %v", ErrRegistry, err)
+			return nil, fmt.Errorf("%w: %v", ErrRegistry, err)
 		}
 		st = fs
 		opts = append(opts, service.WithStore(fs))
@@ -613,32 +619,12 @@ func (r *Registry) buildCollection(name string, spec CollectionSpec) (*service.S
 		if st != nil {
 			st.Close()
 		}
-		return nil, nil, err
+		return nil, err
 	}
-	var coord *federation.Coordinator
-	if len(spec.Peers) > 0 {
-		var fopts []federation.Option
-		if spec.SyncInterval != "" {
-			d, _ := time.ParseDuration(spec.SyncInterval)
-			fopts = append(fopts, federation.WithSyncInterval(d))
-		}
-		// No federation metrics here: the federation instruments are
-		// registered un-labeled, so only the process's default
-		// coordinator (frapp-server -peers) exposes them.
-		coord, err = federation.NewCoordinator(srv.CounterScheme(), spec.Peers, srv.ReplaceCounter, fopts...)
-		if err == nil {
-			err = srv.EnableFederation(coord)
-		}
-		if err != nil {
-			if coord != nil {
-				coord.Close()
-			}
-			srv.Close()
-			return nil, nil, err
-		}
+	if coord := srv.Coordinator(); coord != nil {
 		coord.Start()
 	}
-	return srv, coord, nil
+	return srv, nil
 }
 
 // manifest is the on-disk registry state: every named collection's

@@ -194,34 +194,9 @@ func (c *Client) Schema() *dataset.Schema { return c.schema }
 // Gamma returns the amplification bound of the published contract.
 func (c *Client) Gamma() float64 { return c.gamma }
 
-// perturbWire perturbs one record under the negotiated scheme and
-// renders it in the scheme's wire form: RecordJSON for gamma,
-// BoolRecordJSON for the boolean schemes.
-func (c *Client) perturbWire(rec dataset.Record, rng *rand.Rand) (any, error) {
-	switch {
-	case c.perturber != nil:
-		perturbed, err := c.perturber.Perturb(rec, rng)
-		if err != nil {
-			return nil, err
-		}
-		return c.encodeRecord(perturbed), nil
-	case c.mask != nil:
-		row, err := c.mask.PerturbRecord(rec, rng)
-		if err != nil {
-			return nil, err
-		}
-		return c.encodeBoolRecord(c.mask.Mapping, row), nil
-	default:
-		row, err := c.cutpaste.PerturbRecord(rec, rng)
-		if err != nil {
-			return nil, err
-		}
-		return c.encodeBoolRecord(c.cutpaste.Mapping, row), nil
-	}
-}
-
 // perturbItems perturbs one record under the negotiated scheme and
-// returns it as the (attr, value) index list of the binary wire form.
+// returns it as an (attr, value) index list — what the binary wire form
+// carries, and what wireRecord renders as JSON.
 func (c *Client) perturbItems(rec dataset.Record, rng *rand.Rand) ([]mining.Item, error) {
 	switch {
 	case c.perturber != nil:
@@ -262,13 +237,34 @@ func (c *Client) rowItems(m *core.BoolMapping, row uint64) []mining.Item {
 	return items
 }
 
+// wireRecord renders a perturbed item list in the scheme's JSON wire
+// form: RecordJSON for gamma (one item per attribute), BoolRecordJSON
+// for the boolean schemes (attributes with no asserted category are
+// omitted; categories keep the items' ascending order).
+func (c *Client) wireRecord(items []mining.Item) any {
+	if c.perturber != nil {
+		out := make(RecordJSON, len(items))
+		for _, it := range items {
+			a := c.schema.Attrs[it.Attr]
+			out[a.Name] = a.Categories[it.Value]
+		}
+		return out
+	}
+	out := make(BoolRecordJSON)
+	for _, it := range items {
+		a := c.schema.Attrs[it.Attr]
+		out[a.Name] = append(out[a.Name], a.Categories[it.Value])
+	}
+	return out
+}
+
 // Submit perturbs rec locally and sends only the distorted record.
 func (c *Client) Submit(rec dataset.Record, rng *rand.Rand) error {
-	wire, err := c.perturbWire(rec, rng)
+	items, err := c.perturbItems(rec, rng)
 	if err != nil {
 		return err
 	}
-	body, err := json.Marshal(wire)
+	body, err := json.Marshal(c.wireRecord(items))
 	if err != nil {
 		return err
 	}
@@ -346,39 +342,34 @@ func (c *Client) PrepareBatchWire(recs []dataset.Record, rng *rand.Rand, wire st
 	if len(recs) == 0 {
 		return nil, fmt.Errorf("%w: empty batch", ErrService)
 	}
-	switch wire {
-	case WireJSON, "":
-		batch := make([]any, 0, len(recs))
-		for _, rec := range recs {
-			w, err := c.perturbWire(rec, rng)
-			if err != nil {
-				return nil, err
-			}
-			batch = append(batch, w)
-		}
-		body, err := json.Marshal(batch)
+	if wire != WireJSON && wire != "" && wire != WireBinary {
+		return nil, fmt.Errorf("%w: unknown wire form %q (want %q or %q)", ErrService, wire, WireJSON, WireBinary)
+	}
+	records := make([][]mining.Item, len(recs))
+	for i, rec := range recs {
+		items, err := c.perturbItems(rec, rng)
 		if err != nil {
 			return nil, err
 		}
-		return &PreparedBatch{body: body, n: len(recs), contentType: BatchContentTypeJSON}, nil
-	case WireBinary:
-		records := make([][]mining.Item, len(recs))
-		for i, rec := range recs {
-			items, err := c.perturbItems(rec, rng)
-			if err != nil {
-				return nil, err
-			}
-			records[i] = items
-		}
+		records[i] = items
+	}
+	if wire == WireBinary {
 		return &PreparedBatch{
 			body:        appendBinaryBatch(nil, records),
 			n:           len(recs),
 			contentType: BatchContentTypeBinary,
 			fingerprint: c.fingerprint,
 		}, nil
-	default:
-		return nil, fmt.Errorf("%w: unknown wire form %q (want %q or %q)", ErrService, wire, WireJSON, WireBinary)
 	}
+	batch := make([]any, len(records))
+	for i, items := range records {
+		batch[i] = c.wireRecord(items)
+	}
+	body, err := json.Marshal(batch)
+	if err != nil {
+		return nil, err
+	}
+	return &PreparedBatch{body: body, n: len(recs), contentType: BatchContentTypeJSON}, nil
 }
 
 // SubmitPrepared transmits a prepared batch.
@@ -627,33 +618,6 @@ func (c *Client) Stats() (*StatsResponse, error) {
 		return nil, fmt.Errorf("%w: bad stats response: %v", ErrService, err)
 	}
 	return &sr, nil
-}
-
-func (c *Client) encodeRecord(rec dataset.Record) RecordJSON {
-	out := make(RecordJSON, len(rec))
-	for j, v := range rec {
-		a := c.schema.Attrs[j]
-		out[a.Name] = a.Categories[v]
-	}
-	return out
-}
-
-// encodeBoolRecord renders a perturbed boolean row as attribute →
-// asserted-category lists; attributes with no asserted bits are omitted.
-func (c *Client) encodeBoolRecord(m *core.BoolMapping, row uint64) BoolRecordJSON {
-	out := make(BoolRecordJSON)
-	for j, a := range c.schema.Attrs {
-		var cats []string
-		for v := 0; v < a.Cardinality(); v++ {
-			if row&(1<<uint(m.Offsets[j]+v)) != 0 {
-				cats = append(cats, a.Categories[v])
-			}
-		}
-		if len(cats) > 0 {
-			out[a.Name] = cats
-		}
-	}
-	return out
 }
 
 // jsonContent is the header of every JSON request body.

@@ -141,7 +141,7 @@ type job struct {
 }
 
 // mineKey identifies one cacheable mining computation: the counter
-// generation (bumped whenever ReplaceCounter swaps the counter OBJECT,
+// generation (bumped whenever replaceCounter swaps the counter OBJECT,
 // which resets the version line), the counter content
 // (snapshot version), and every parameter that changes the Apriori run
 // itself. MinConf and Limit are deliberately absent — rule generation
@@ -453,7 +453,7 @@ func (st *jobStore) cachePut(key mineKey, e *cacheEntry) *cacheEntry {
 
 // invalidateCache drops every entry and advances the generation,
 // returning the new one — required when the counter object itself is
-// replaced (ReplaceCounter), which resets the version line. Callers
+// replaced (replaceCounter), which resets the version line. Callers
 // publish the new counter together with the returned generation only
 // AFTER this completes.
 func (st *jobStore) invalidateCache() uint64 {

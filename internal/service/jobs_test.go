@@ -352,7 +352,7 @@ func TestReplaceCounterInvalidatesCache(t *testing.T) {
 	if _, err := client.MineAsync(ctx, MineParams{MinSupport: 0.2}); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.ReplaceCounter(counterCopy(t, srv), nil); err != nil {
+	if err := srv.replaceCounter(counterCopy(t, srv), nil); err != nil {
 		t.Fatal(err)
 	}
 	// Same version number (copied count), but the counter object was

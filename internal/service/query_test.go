@@ -102,7 +102,7 @@ func TestQueryGenerationAcrossRestore(t *testing.T) {
 	swapped := counterCopy(t, srv)
 	_, before := postQuery(t, ts.URL, ts.Client(), `{"filters": [{"a":"a0"}]}`)
 
-	if err := srv.ReplaceCounter(swapped, nil); err != nil {
+	if err := srv.replaceCounter(swapped, nil); err != nil {
 		t.Fatal(err)
 	}
 	code, after := postQuery(t, ts.URL, ts.Client(), `{"filters": [{"a":"a0"}]}`)

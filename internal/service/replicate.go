@@ -24,18 +24,18 @@ import (
 // mismatch, an unretained token, or since=0 all produce a FULL delta
 // the caller applies from scratch, so a chain can never silently skew.
 //
-// A server with EnableFederation becomes a coordinator: its counter is
-// the merged global view published by the federation sync loop, its
-// /v1/stats carries the per-peer health table and version vector, its
-// /v1/query and /v1/mine responses are stamped with the version vector
-// they reflect, and it refuses direct submissions (403) — records enter
-// the federation at collector sites only.
+// A server built WithPeers is a coordinator: its counter is the merged
+// global view published by the federation sync loop, its /v1/stats
+// carries the per-peer health table and version vector, its /v1/query
+// and /v1/mine responses are stamped with the version vector they
+// reflect, and it refuses direct submissions (403) — records enter the
+// federation at collector sites only.
 
-// errWindowedServer rejects durability and federation on a windowed
-// server: ring expiry is wall-clock-defined, so neither a WAL replay
-// nor a delta stream can reproduce the collection's content later or
-// elsewhere (deltas cannot express expiry subtractions at all).
-var errWindowedServer = fmt.Errorf("%w: collection is a sliding window (in-memory ring); replication and counter swaps are unavailable", ErrService)
+// errWindowedServer rejects replication pulls on a windowed server:
+// ring expiry is wall-clock-defined, so a delta stream cannot reproduce
+// the collection's content elsewhere (deltas cannot express expiry
+// subtractions at all).
+var errWindowedServer = fmt.Errorf("%w: collection is a sliding window (in-memory ring); replication is unavailable", ErrService)
 
 // handleReplicate serves one replication pull.
 func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
@@ -76,29 +76,35 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// ReplaceCounter atomically swaps the counter the query, mining, and
-// stats handlers answer from — the publish hook of a federation
-// coordinator. vector is the per-peer version vector the counter
-// reflects; it is stamped into /v1/query and /v1/mine responses. The
-// swap invalidates the mining-result cache and bumps the counter
-// generation BEFORE publishing, so no worker can pair the
-// new counter with a stale cache entry (see executeMine). The incoming
+// WithPeers makes the server a federation coordinator over the given
+// peer collection servers. NewServer builds the coordinator over the
+// server's own scheme contract, so its compatibility fingerprint can
+// never drift from the server's and a peer running a different scheme
+// is rejected, never merged. The merged global counter becomes the one
+// the query, mining and stats handlers answer from, and direct
+// submissions are refused (403). opts tune the sync loop. Nothing is
+// pulled until the caller runs Coordinator().Start (background loops)
+// or SyncAll (one pass); Server.Close stops the loops. A coordinator
+// can be neither store-backed nor windowed: its counter is rebuilt from
+// its peers, which own the durable state, and deltas cannot express
+// bucket expiry.
+func WithPeers(peers []string, opts ...federation.Option) Option {
+	return func(c *serverConfig) { c.peers, c.fedOpts = peers, opts }
+}
+
+// replaceCounter atomically swaps the counter the query, mining, and
+// stats handlers answer from — the publish hook of the coordinator
+// NewServer builds for WithPeers. vector is the per-peer version vector
+// the counter reflects; it is stamped into /v1/query and /v1/mine
+// responses. The swap invalidates the mining-result cache and bumps the
+// counter generation BEFORE publishing, so no worker can pair the new
+// counter with a stale cache entry (see executeMine). The incoming
 // counter's fingerprint — which seals its scheme, schema, and
 // parameters — must match this server's contract exactly: a counter
 // collected under a different scheme is rejected, never served.
-func (s *Server) ReplaceCounter(c mining.LiveCounter, vector map[string]uint64) error {
+func (s *Server) replaceCounter(c mining.LiveCounter, vector map[string]uint64) error {
 	if c == nil {
 		return fmt.Errorf("%w: nil counter", ErrService)
-	}
-	if s.store != nil {
-		// The store's WAL chains off the counter object it was attached
-		// to; swapping the object would silently stop persisting.
-		return errStoreBacked
-	}
-	if s.windowed {
-		// Swapping a plain merged counter into a windowed server would
-		// silently drop the expiry semantics the collection advertises.
-		return errWindowedServer
 	}
 	if c.Fingerprint() != s.scheme.Fingerprint() {
 		return fmt.Errorf("%w: counter does not match this server's scheme, schema, and perturbation contract", ErrService)
@@ -108,39 +114,14 @@ func (s *Server) ReplaceCounter(c mining.LiveCounter, vector map[string]uint64) 
 	return nil
 }
 
-// EnableFederation marks this server as a federation coordinator fed by
-// the given sync loop: submissions are refused (the global view is
-// rebuilt from peers; locally ingested records would be silently
-// discarded on the next publish) and /v1/stats gains the federation
-// health block. The caller owns the coordinator's lifecycle — wire its
-// publish hook to ReplaceCounter and Close it before the server.
-func (s *Server) EnableFederation(coord *federation.Coordinator) error {
-	if coord == nil {
-		return fmt.Errorf("%w: nil coordinator", ErrService)
-	}
-	if s.store != nil {
-		// A coordinator republishes merged counters through
-		// ReplaceCounter, which a store-backed server must refuse.
-		return errStoreBacked
-	}
-	if s.windowed {
-		// ReplaceCounter refuses on a windowed server (see above), so a
-		// coordinator could never publish its merged view.
-		return errWindowedServer
-	}
-	if !s.fed.CompareAndSwap(nil, coord) {
-		return fmt.Errorf("%w: federation already enabled", ErrService)
-	}
-	return nil
-}
-
-// Federated reports whether this server is a federation coordinator.
-func (s *Server) Federated() bool { return s.fed.Load() != nil }
+// Coordinator returns the federation sync loop of a server built
+// WithPeers, nil on any other server. The caller starts it; Server.Close
+// stops it.
+func (s *Server) Coordinator() *federation.Coordinator { return s.fed }
 
 // Matrix returns the server's gamma-diagonal perturbation matrix — the
-// zero matrix when the server runs a boolean scheme. Federation
-// coordinators should be built from CounterScheme instead, which covers
-// every scheme.
+// zero matrix when the server runs a boolean scheme (CounterScheme
+// covers every scheme).
 func (s *Server) Matrix() core.UniformMatrix { return s.matrix }
 
 // PublishedSchema returns the schema the server publishes on /v1/schema.

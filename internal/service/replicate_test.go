@@ -5,7 +5,10 @@ import (
 	"encoding/json"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -103,7 +106,7 @@ func TestReplicateGenerationMismatchForcesFull(t *testing.T) {
 	// replaced, its version line restarts, and its generation bumps.
 	restored := counterCopy(t, srv)
 	submitN(t, srv, ts.URL, rng, 5)
-	if err := srv.ReplaceCounter(restored, nil); err != nil {
+	if err := srv.replaceCounter(restored, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -125,12 +128,12 @@ func TestReplicateGenerationMismatchForcesFull(t *testing.T) {
 // counterCopy returns a new counter object holding srv's current
 // content at the same version — what a federation coordinator publishes
 // when the merged view has not moved. Swapping it in through
-// ReplaceCounter is the counter swap every cache and replication
+// replaceCounter is the counter swap every cache and replication
 // contract keys on.
 func counterCopy(t *testing.T, srv *Server) *mining.ShardedCounter {
 	t.Helper()
 	var state bytes.Buffer
-	if err := srv.ctr().(*mining.ShardedCounter).Save(&state); err != nil {
+	if err := srv.ctr().(*mining.ShardedCounter).CheckpointCut(0).Save(&state); err != nil {
 		t.Fatal(err)
 	}
 	c, err := mining.LoadLiveCounter(&state, srv.CounterScheme(), srv.Shards())
@@ -155,20 +158,9 @@ func TestReplicateRejectsBadParams(t *testing.T) {
 }
 
 func TestFederatedServerRefusesSubmissions(t *testing.T) {
-	srv, ts := startServer(t)
-	coord, err := federation.NewCoordinator(srv.CounterScheme(), []string{"http://127.0.0.1:1"}, srv.ReplaceCounter)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	if err := srv.EnableFederation(coord); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.EnableFederation(coord); err == nil {
-		t.Fatal("double EnableFederation accepted")
-	}
-	if !srv.Federated() {
-		t.Fatal("Federated() false after enable")
+	srv, ts := startServer(t, WithPeers([]string{"http://127.0.0.1:1"}))
+	if srv.Coordinator() == nil {
+		t.Fatal("Coordinator() nil on a server built WithPeers")
 	}
 	for _, path := range []string{"/v1/submit", "/v1/submit-batch"} {
 		resp, err := ts.Client().Post(ts.URL+path, "application/json", bytes.NewReader([]byte("{}")))
@@ -182,9 +174,50 @@ func TestFederatedServerRefusesSubmissions(t *testing.T) {
 	}
 }
 
+// TestCloseStopsCoordinator: Server.Close owns the sync loop a
+// WithPeers server starts — after Close returns, no pull reaches the
+// peer, however short the sync interval.
+func TestCloseStopsCoordinator(t *testing.T) {
+	var pulls atomic.Int64
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/replicate" {
+			pulls.Add(1)
+		}
+		http.Error(w, "unavailable", http.StatusServiceUnavailable)
+	}))
+	defer peer.Close()
+	srv, err := NewServer(serviceSchema(t), core.PrivacySpec{Rho1: 0.05, Rho2: 0.50},
+		WithPeers([]string{peer.URL},
+			federation.WithSyncInterval(time.Millisecond),
+			federation.WithMaxBackoff(time.Millisecond),
+			federation.WithHTTPClient(peer.Client())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Coordinator().Start()
+	deadline := time.Now().Add(10 * time.Second)
+	for pulls.Load() == 0 {
+		if time.Now().After(deadline) {
+			srv.Close()
+			t.Fatal("the sync loop never pulled the peer")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	srv.Close()
+	// A pull canceled by Close may still be dispatched by the peer once;
+	// settle before counting. A loop that kept running would pull about
+	// once a millisecond.
+	time.Sleep(50 * time.Millisecond)
+	after := pulls.Load()
+	time.Sleep(100 * time.Millisecond)
+	if n := pulls.Load(); n != after {
+		t.Fatalf("%d pulls reached the peer after Close", n-after)
+	}
+}
+
 func TestReplaceCounterValidatesContract(t *testing.T) {
 	srv, _ := startServer(t)
-	if err := srv.ReplaceCounter(nil, nil); err == nil {
+	if err := srv.replaceCounter(nil, nil); err == nil {
 		t.Fatal("nil counter accepted")
 	}
 	other, err := dataset.NewSchema("other", []dataset.Attribute{
@@ -201,7 +234,7 @@ func TestReplaceCounterValidatesContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.ReplaceCounter(oc, nil); err == nil {
+	if err := srv.replaceCounter(oc, nil); err == nil {
 		t.Fatal("mismatched counter accepted")
 	}
 
@@ -216,7 +249,7 @@ func TestReplaceCounterValidatesContract(t *testing.T) {
 	}
 	genBefore := srv.CounterGeneration()
 	vector := map[string]uint64{"http://site-a": 42}
-	if err := srv.ReplaceCounter(mining.NewLiveFromCore(srv.CounterScheme(), merged), vector); err != nil {
+	if err := srv.replaceCounter(mining.NewLiveFromCore(srv.CounterScheme(), merged), vector); err != nil {
 		t.Fatal(err)
 	}
 	if srv.N() != 1 {

@@ -499,21 +499,13 @@ func TestFederationSchemeContract(t *testing.T) {
 			_, tsMixed := newSite(mixedScheme)
 			submit(tsMixed, db.Records[:50], 1003)
 
-			coordSrv, err := NewServer(schema, spec, WithScheme(tc.name))
+			coordSrv, err := NewServer(schema, spec, WithScheme(tc.name),
+				WithPeers([]string{tsA.URL, tsB.URL, tsMixed.URL}, federation.WithHTTPClient(tsA.Client())))
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Cleanup(coordSrv.Close)
-			coord, err := federation.NewCoordinator(coordSrv.CounterScheme(),
-				[]string{tsA.URL, tsB.URL, tsMixed.URL}, coordSrv.ReplaceCounter,
-				federation.WithHTTPClient(tsA.Client()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(coord.Close)
-			if err := coordSrv.EnableFederation(coord); err != nil {
-				t.Fatal(err)
-			}
+			coord := coordSrv.Coordinator()
 			// The mixed-scheme peer fails the pass; the same-scheme sites
 			// still merge.
 			if err := coord.SyncAll(context.Background()); err == nil {

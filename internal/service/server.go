@@ -64,8 +64,9 @@ type Server struct {
 	// matrix is the gamma-diagonal matrix; set only when scheme is
 	// gamma (the boolean schemes publish their own parameters).
 	matrix core.UniformMatrix
-	// counter is swapped wholesale by ReplaceCounter while submit and
-	// mining handlers read it concurrently, hence the atomic pointer.
+	// counter is swapped wholesale by a coordinator's publish hook
+	// (replaceCounter) while submit and mining handlers read it
+	// concurrently, hence the atomic pointer.
 	// The counter travels together with its cache generation so a
 	// mining worker always sees a consistent (counter, generation) pair
 	// — read separately, a worker could pair the NEW counter with the
@@ -78,11 +79,10 @@ type Server struct {
 	// maxBody caps the request body of every JSON/binary POST endpoint
 	// via http.MaxBytesReader; oversized submissions answer 413.
 	maxBody int64
-	// fed, when set, marks this server as a federation coordinator (see
-	// replicate.go): its counter is the merged global view published by
-	// the sync loop, and direct submissions are refused. Atomic because
-	// EnableFederation may legally race in-flight request handlers.
-	fed atomic.Pointer[federation.Coordinator]
+	// fed, set by WithPeers, marks this server as a federation
+	// coordinator (see replicate.go): its counter is the merged global
+	// view published by the sync loop, and direct submissions are refused.
+	fed *federation.Coordinator
 	// store, when set, is the durable persistence backend (see store.go):
 	// the counter was recovered from it at construction, a background
 	// flusher appends deltas to its WAL, and checkpointEvery records
@@ -135,6 +135,8 @@ type serverConfig struct {
 	collection      string
 	windowBuckets   int
 	windowBucket    time.Duration
+	peers           []string
+	fedOpts         []federation.Option
 }
 
 // WithScheme selects the perturbation scheme the server counts under:
@@ -158,9 +160,9 @@ func WithShards(n int) Option {
 // ring of time-bucketed sub-counters (see mining.WindowedCounter), and
 // /v1/query and mining jobs accept a `window` duration parameter
 // restricting the answer to the newest whole buckets. A windowed
-// collection is in-memory only — it cannot combine with WithStore,
-// ReplaceCounter, or federation, because bucket expiry is wall-clock-defined
-// and cannot be replayed or replicated.
+// collection is in-memory only — it cannot combine with WithStore or
+// WithPeers, because bucket expiry is wall-clock-defined and cannot be
+// replayed or replicated.
 func WithWindow(buckets int, bucket time.Duration) Option {
 	return func(c *serverConfig) {
 		c.windowBuckets = buckets
@@ -196,7 +198,9 @@ func WithJobTTL(d time.Duration) Option {
 }
 
 // NewServer configures a server for one schema and privacy contract and
-// starts its mining worker pool. Call Close when done with the server.
+// starts its mining worker pool. It is the one place that checks the
+// serving modes combine: WithStore, WithWindow and WithPeers exclude
+// each other. Call Close when done with the server.
 func NewServer(schema *dataset.Schema, spec core.PrivacySpec, opts ...Option) (*Server, error) {
 	if schema == nil {
 		return nil, fmt.Errorf("%w: nil schema", ErrService)
@@ -218,8 +222,14 @@ func NewServer(schema *dataset.Schema, spec core.PrivacySpec, opts ...Option) (*
 		met = newServerMetrics(cfg.metrics, cfg.accessLog, cfg.collection)
 	}
 	windowed := cfg.windowBuckets != 0 || cfg.windowBucket != 0
-	if windowed && cfg.store != nil {
+	federated := len(cfg.peers) > 0
+	switch {
+	case windowed && cfg.store != nil:
 		return nil, fmt.Errorf("%w: a windowed collection cannot be store-backed (bucket expiry is wall-clock-defined and cannot be replayed)", ErrService)
+	case windowed && federated:
+		return nil, fmt.Errorf("%w: a windowed collection cannot be federated (deltas cannot express bucket expiry)", ErrService)
+	case federated && cfg.store != nil:
+		return nil, fmt.Errorf("%w: a federation coordinator cannot be store-backed (its counter is rebuilt from its peers, which own the durable state)", ErrService)
 	}
 	// A store-backed server starts from its durable state — newest
 	// checkpoint plus replayed WAL tail — instead of empty, and the
@@ -270,6 +280,11 @@ func NewServer(schema *dataset.Schema, spec core.PrivacySpec, opts ...Option) (*
 	if g, ok := scheme.(*mining.GammaScheme); ok {
 		s.matrix = g.Matrix()
 	}
+	if federated {
+		if s.fed, err = federation.NewCoordinator(scheme, cfg.peers, s.replaceCounter, cfg.fedOpts...); err != nil {
+			return nil, err
+		}
+	}
 	met.observeCounter(counter)
 	s.counter.Store(&counterRef{counter: counter})
 	s.jobs = newJobStore(cfg.mineWorkers, cfg.jobTTL, s.executeMine)
@@ -294,11 +309,16 @@ func NewServer(schema *dataset.Schema, spec core.PrivacySpec, opts ...Option) (*
 }
 
 // Close stops the mining worker pool, failing any still-queued jobs. On
-// a store-backed server it also stops the flusher, appends the pending
-// WAL tail (best-effort — call FlushWAL or CheckpointNow first for
-// error visibility), and closes the store. Idempotent.
+// a coordinator it first stops the federation sync loop, so the counter
+// stops moving. On a store-backed server it also stops the flusher,
+// appends the pending WAL tail (best-effort — call FlushWAL or
+// CheckpointNow first for error visibility), and closes the store.
+// Idempotent.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
+		if s.fed != nil {
+			s.fed.Close()
+		}
 		if s.store != nil {
 			close(s.persistStop)
 			<-s.persistDone
@@ -317,9 +337,9 @@ func (s *Server) ctr() mining.LiveCounter { return s.counter.Load().counter }
 // Scheme returns the name of the server's perturbation scheme.
 func (s *Server) Scheme() string { return s.scheme.Name() }
 
-// CounterScheme returns the server's full scheme contract — what a
-// federation coordinator over this server's sites must be built with so
-// its compatibility fingerprint can never drift from the server's own.
+// CounterScheme returns the server's full scheme contract — the one a
+// WithPeers server's coordinator is built over, so its compatibility
+// fingerprint can never drift from the server's own.
 func (s *Server) CounterScheme() mining.CounterScheme { return s.scheme }
 
 // Windowed reports whether this server's collection is a sliding
@@ -345,8 +365,9 @@ func (s *Server) Shards() int { return s.ctr().Shards() }
 func (s *Server) SnapshotVersion() uint64 { return s.ctr().Version() }
 
 // CounterGeneration counts counter swaps: 0 at start, bumped by every
-// ReplaceCounter. A swap replaces the counter object and RESTARTS its
-// version line (at the new counter's own version), so two equal
+// merged counter a coordinator publishes. A swap replaces the counter
+// object and RESTARTS its version line (at the new counter's own
+// version), so two equal
 // snapshot versions only imply equal counter content within one
 // generation — which is why the generation travels in /v1/stats and
 // /v1/query responses alongside the version.
@@ -477,30 +498,6 @@ func (s *Server) decodeRecord(rj RecordJSON) (dataset.Record, error) {
 	return rec, nil
 }
 
-// decodeSubmission converts one wire submission into an ingest closure
-// per the active scheme: gamma submissions are complete records
-// (RecordJSON) fed through the counter's record path — one validation
-// in decodeRecord, one in Add, no intermediate item list — and boolean
-// submissions are item sets (BoolRecordJSON) fed through Ingest.
-func (s *Server) decodeSubmission(raw json.RawMessage) (func(mining.LiveCounter) error, error) {
-	if s.scheme.Name() == mining.SchemeGamma {
-		var rj RecordJSON
-		if err := json.Unmarshal(raw, &rj); err != nil {
-			return nil, fmt.Errorf("%w: bad JSON: %v", ErrService, err)
-		}
-		rec, err := s.decodeRecord(rj)
-		if err != nil {
-			return nil, err
-		}
-		return func(c mining.LiveCounter) error { return c.Add(rec) }, nil
-	}
-	items, err := s.decodeBoolSubmission(raw)
-	if err != nil {
-		return nil, err
-	}
-	return func(c mining.LiveCounter) error { return c.Ingest(items) }, nil
-}
-
 // walkAttrObject parses a JSON object keyed by attribute names token by
 // token — encoding/json would silently keep only the last of two
 // duplicate keys, and both decoders built on this (query filters and
@@ -573,7 +570,7 @@ func (s *Server) decodeBoolSubmission(raw json.RawMessage) ([]mining.Item, error
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	if s.Federated() {
+	if s.fed != nil {
 		httpError(w, http.StatusForbidden, errFederated)
 		return
 	}
@@ -583,12 +580,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpBodyError(w, err, "bad JSON")
 		return
 	}
-	ingest, err := s.decodeSubmission(raw)
+	items, err := s.decodeSubmissionItems(raw)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	if err := ingest(s.ctr()); err != nil {
+	if err := s.ctr().Ingest(items); err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -603,7 +600,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // so a record the decoder accepts but the counter rejects can no
 // longer leave earlier records of the batch applied.
 func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
-	if s.Federated() {
+	if s.fed != nil {
 		httpError(w, http.StatusForbidden, errFederated)
 		return
 	}
@@ -665,7 +662,8 @@ func (s *Server) handleSubmitBatchBinary(w http.ResponseWriter, r *http.Request)
 }
 
 // decodeSubmissionItems converts one JSON wire submission into the
-// item list IngestBatch consumes: gamma submissions (complete records)
+// item list Ingest and IngestBatch consume — the one JSON submission
+// decoder of both submit routes: gamma submissions (complete records)
 // become one item per attribute, boolean submissions decode through
 // the duplicate-rejecting attribute walk.
 func (s *Server) decodeSubmissionItems(raw json.RawMessage) ([]mining.Item, error) {
@@ -765,8 +763,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		UptimeSeconds:     time.Since(s.start).Seconds(),
 		StartTime:         s.start.UTC(),
 	}
-	if fed := s.fed.Load(); fed != nil {
-		resp.Federation = fed.Stats()
+	if s.fed != nil {
+		resp.Federation = s.fed.Stats()
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -925,7 +923,7 @@ func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
 // the version it is exact for, and whether it was a cache hit.
 func (s *Server) executeMine(p MineParams) (*MineResponse, uint64, bool, error) {
 	// One atomic load yields a consistent (counter, generation) pair;
-	// ReplaceCounter clears the cache and bumps the generation BEFORE
+	// replaceCounter clears the cache and bumps the generation BEFORE
 	// publishing the new pair, so a worker still holding the old pair
 	// can only touch old-generation cache keys — its results linearize
 	// before the swap and can never poison the new counter's version

@@ -11,9 +11,11 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/store"
 )
 
 func serviceSchema(t *testing.T) *dataset.Schema {
@@ -47,6 +49,41 @@ func TestNewServerValidation(t *testing.T) {
 	}
 	if _, err := NewServer(serviceSchema(t), core.PrivacySpec{Rho1: 0.9, Rho2: 0.5}); err == nil {
 		t.Fatal("bad privacy spec accepted")
+	}
+}
+
+// TestNewServerRejectsModePairs: NewServer is the one place the serving
+// modes are checked, and a store, a window and peers exclude each other.
+func TestNewServerRejectsModePairs(t *testing.T) {
+	window := WithWindow(2, time.Minute)
+	peers := WithPeers([]string{"http://127.0.0.1:1"})
+	for _, tc := range []struct {
+		name  string
+		store bool
+		opts  []Option
+	}{
+		{"store+window", true, []Option{window}},
+		{"store+peers", true, []Option{peers}},
+		{"window+peers", false, []Option{window, peers}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := tc.opts
+			if tc.store {
+				st, err := store.Open(t.TempDir())
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer st.Close()
+				opts = append([]Option{WithStore(st)}, opts...)
+			}
+			srv, err := NewServer(serviceSchema(t), core.PrivacySpec{Rho1: 0.05, Rho2: 0.50}, opts...)
+			if !errors.Is(err, ErrService) {
+				if srv != nil {
+					srv.Close()
+				}
+				t.Fatalf("NewServer(%s) = %v, want ErrService", tc.name, err)
+			}
+		})
 	}
 }
 

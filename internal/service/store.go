@@ -1,7 +1,6 @@
 package service
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/store"
@@ -28,9 +27,10 @@ const (
 // counter from the store at construction (checkpoint + WAL-tail replay),
 // then continuously appends counter deltas to the store's WAL and
 // checkpoints on record thresholds. The server owns the store from here:
-// it is closed by Server.Close. Mutually exclusive with ReplaceCounter
-// and so with the federation-coordinator role: a counter swap would pull
-// the counter object out from under the store's log chain.
+// it is closed by Server.Close, and by the caller when NewServer fails.
+// Mutually exclusive with WithPeers and WithWindow: a coordinator's
+// counter swaps would pull the counter object out from under the store's
+// log chain, and a window's expiry cannot be replayed.
 func WithStore(st store.StateStore) Option {
 	return func(c *serverConfig) { c.store = st }
 }
@@ -47,10 +47,6 @@ func WithCheckpointEvery(n int) Option {
 func WithWALFlushInterval(d time.Duration) Option {
 	return func(c *serverConfig) { c.walFlush = d }
 }
-
-// errStoreBacked rejects operations that would swap the counter object
-// out from under the attached store's WAL chain.
-var errStoreBacked = fmt.Errorf("%w: server is store-backed; durable state is managed by the store", ErrService)
 
 // persistLoop is the background flusher: every interval it appends the
 // counter's pending changes to the WAL, and compacts into a checkpoint

@@ -2,7 +2,6 @@ package service
 
 import (
 	"encoding/gob"
-	"errors"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -138,20 +137,17 @@ func TestStoreBackedCheckpointThreshold(t *testing.T) {
 	}
 }
 
-// TestStoreBackedServerGuards: the operations that would swap the
-// counter object out from under the store's WAL chain are refused, and
-// the store controls (FlushWAL/CheckpointNow) are no-ops without one.
+// TestStoreBackedServerGuards: a store-backed server reports its store,
+// and the store controls (FlushWAL/CheckpointNow) are no-ops without
+// one. (A store-backed server cannot be built as a coordinator, whose
+// counter swaps would pull the counter object out from under the WAL
+// chain; TestNewServerRejectsModePairs covers that.)
 func TestStoreBackedServerGuards(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "state")
 	srv, ts := startStoreServer(t, dir)
 	submitBatch(t, ts, 3, 73)
-
-	other, err := mining.NewShardedCounter(srv.CounterScheme(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.ReplaceCounter(other, nil); !errors.Is(err, ErrService) {
-		t.Fatalf("ReplaceCounter on a store-backed server: %v, want ErrService", err)
+	if !srv.StoreBacked() {
+		t.Fatal("store-backed server claims no store")
 	}
 
 	plain, err := NewServer(serviceSchema(t), core.PrivacySpec{Rho1: 0.05, Rho2: 0.50})

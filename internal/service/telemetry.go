@@ -281,8 +281,9 @@ func (s *Server) replicationJournal() (entries, tokens int) {
 
 // observeCounter installs the ingest observer on any counter exposing
 // the observer hook (sharded and windowed counters alike). Only the
-// server's initial counter is observed: ReplaceCounter is a federation
-// coordinator's publish hook, and a coordinator refuses submissions.
+// server's initial counter is observed: only a coordinator swaps its
+// counter (replaceCounter, its publish hook), and a coordinator refuses
+// submissions.
 func (m *serverMetrics) observeCounter(c mining.LiveCounter) {
 	if m == nil {
 		return

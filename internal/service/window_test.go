@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -10,10 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/federation"
 	"repro/internal/mining"
-	"repro/internal/store"
 )
 
 // Sliding-window surface of the collection server, over HTTP: full-ring
@@ -352,40 +348,14 @@ func TestUnwindowedQueryAcrossRingExpiry(t *testing.T) {
 	}
 }
 
-// TestWindowedDurabilityGates: every surface that would persist, swap,
-// replicate, or federate a windowed collection must refuse — wall-clock
-// expiry cannot be replayed or replicated.
+// TestWindowedDurabilityGates: a windowed collection refuses
+// replication pulls — wall-clock expiry cannot be replicated. (Its
+// construction with a store or peers is refused too; see
+// TestNewServerRejectsModePairs.)
 func TestWindowedDurabilityGates(t *testing.T) {
-	srv, client, _ := startWindowedServer(t, 2, time.Minute, WithShards(2))
+	_, client, _ := startWindowedServer(t, 2, time.Minute, WithShards(2))
 	submitSeeded(t, client, 40, 3)
-
-	other, err := mining.NewShardedCounter(srv.CounterScheme(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.ReplaceCounter(other, nil); !errors.Is(err, ErrService) {
-		t.Errorf("ReplaceCounter = %v, want windowed refusal", err)
-	}
-	coord, err := federation.NewCoordinator(srv.CounterScheme(), []string{"http://127.0.0.1:1"},
-		func(mining.LiveCounter, map[string]uint64) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	if err := srv.EnableFederation(coord); !errors.Is(err, ErrService) {
-		t.Errorf("EnableFederation = %v, want windowed refusal", err)
-	}
 	if _, err := client.Replicate(0, 0); err == nil || !strings.Contains(err.Error(), "409") {
 		t.Errorf("replicate = %v, want 409", err)
-	}
-	// And the windowed+store combination is rejected at construction.
-	st, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if _, err := NewServer(serviceSchema(t), core.PrivacySpec{Rho1: 0.05, Rho2: 0.50},
-		WithWindow(2, time.Minute), WithStore(st)); err == nil {
-		t.Error("windowed config validated with a store attached")
 	}
 }

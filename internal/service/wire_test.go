@@ -2,10 +2,12 @@ package service
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -139,6 +141,59 @@ func TestBatchWireEquivalence(t *testing.T) {
 			}
 			if binBytes >= jsonBytes {
 				t.Errorf("binary wire %d bytes not smaller than JSON %d bytes", binBytes, jsonBytes)
+			}
+		})
+	}
+}
+
+// TestPreparedWireFormsDecodeAlike: the JSON and binary bodies
+// PrepareBatchWire builds from one seed are two renderings of one
+// perturbation — the server's decoders recover identical item lists
+// from them, record by record, for every scheme.
+func TestPreparedWireFormsDecodeAlike(t *testing.T) {
+	for _, scheme := range mining.SchemeNames() {
+		t.Run(scheme, func(t *testing.T) {
+			srv, ts := startServer(t, WithScheme(scheme))
+			client := wireClient(t, ts)
+			recs := wireRecords(srv.schema, 80, 401)
+			pJSON, err := client.PrepareBatchWire(recs, rand.New(rand.NewSource(402)), WireJSON)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pBin, err := client.PrepareBatchWire(recs, rand.New(rand.NewSource(402)), WireBinary)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var raws []json.RawMessage
+			if err := json.Unmarshal(pJSON.Body(), &raws); err != nil {
+				t.Fatal(err)
+			}
+			scratch := batchPool.Get().(*batchScratch)
+			defer scratch.release()
+			bin, err := scratch.decode(bytes.NewReader(pBin.Body()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(raws) != len(recs) || len(bin) != len(recs) {
+				t.Fatalf("decoded %d JSON and %d binary records, want %d", len(raws), len(bin), len(recs))
+			}
+			// JSON objects list attributes by name, not index; compare the
+			// lists in (attr, value) order.
+			byIndex := func(items []mining.Item) []mining.Item {
+				out := append([]mining.Item(nil), items...)
+				slices.SortFunc(out, func(a, b mining.Item) int {
+					return cmp.Or(cmp.Compare(a.Attr, b.Attr), cmp.Compare(a.Value, b.Value))
+				})
+				return out
+			}
+			for i, raw := range raws {
+				items, err := srv.decodeSubmissionItems(raw)
+				if err != nil {
+					t.Fatalf("record %d: %v", i, err)
+				}
+				if got, want := byIndex(items), byIndex(bin[i]); !slices.Equal(got, want) {
+					t.Fatalf("record %d: JSON body carries %v, binary body %v", i, got, want)
+				}
 			}
 		})
 	}
@@ -303,11 +358,11 @@ func TestBatchAtomicityOverHTTP(t *testing.T) {
 			var batch []json.RawMessage
 			rng = rand.New(rand.NewSource(323))
 			for _, rec := range recs[30:] {
-				wire, err := client.perturbWire(rec, rng)
+				items, err := client.perturbItems(rec, rng)
 				if err != nil {
 					t.Fatal(err)
 				}
-				raw, err := json.Marshal(wire)
+				raw, err := json.Marshal(client.wireRecord(items))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -148,7 +148,7 @@ func (s *FileStore) sweepTemps() error {
 }
 
 // checkpointFile is the serialized checkpoint: the counter state (the
-// v3 scheme-tagged gob payload of ShardedCounter.Save) frozen at WALToken,
+// v3 scheme-tagged gob payload of CounterCheckpoint.Save) frozen at WALToken,
 // plus the replication identity to restore into the recovered counter.
 type checkpointFile struct {
 	Magic       string
