@@ -457,7 +457,7 @@ func BenchmarkAblationCounterMaterialized(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	counter, err := mining.NewMaterializedGammaCounter(census.DB.Schema, m)
+	counter, err := mining.NewShardedGammaCounter(census.DB.Schema, m, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -482,7 +482,7 @@ func BenchmarkMaterializedInsert(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	counter, err := mining.NewMaterializedGammaCounter(census.DB.Schema, m)
+	counter, err := mining.NewShardedGammaCounter(census.DB.Schema, m, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

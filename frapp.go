@@ -174,10 +174,6 @@ var (
 	Apriori = mining.Apriori
 	// NewGammaCounter reconstructs supports from gamma-perturbed data.
 	NewGammaCounter = mining.NewGammaCounter
-	// NewMaterializedGammaCounter builds one gamma counting core: every
-	// subset histogram materialized, so mining never rescans records.
-	// Live counters stripe several of these (NewShardedGammaCounter).
-	NewMaterializedGammaCounter = mining.NewMaterializedGammaCounter
 	// NewShardedGammaCounter builds the lock-striped incremental counter
 	// (linearly scalable concurrent ingestion) under the gamma scheme.
 	NewShardedGammaCounter = mining.NewShardedGammaCounter
@@ -206,16 +202,10 @@ type ExactCounter = mining.ExactCounter
 // GammaCounter reconstructs supports under gamma-diagonal perturbation.
 type GammaCounter = mining.GammaCounter
 
-// MaterializedGammaCounter is the gamma scheme's counting core: it
-// incrementally materializes every subset histogram so mining never
-// rescans submissions. A ShardedCounter stripes ingestion over several.
-type MaterializedGammaCounter = mining.MaterializedGammaCounter
-
 // LiveCounter is the scheme-polymorphic live ingestion counter: the one
-// interface the collection service, query engine, mining jobs,
-// persistence, and federation all program against. Gamma, MASK, and
-// cut-and-paste each implement it through a ShardedCounter over their
-// CounterScheme.
+// interface the collection service, query engine, and mining jobs
+// program against. Gamma, MASK, and cut-and-paste each implement it
+// through a ShardedCounter over their CounterScheme.
 type LiveCounter = mining.LiveCounter
 
 // CounterScheme identifies one perturbation scheme's counting contract

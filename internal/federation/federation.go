@@ -30,12 +30,14 @@
 //     the global view re-converges to the true union and can never
 //     double-count or silently serve a stale contribution.
 //
-// Every successful pull that changed anything rebuilds the merged global
-// counter and publishes it (together with the per-peer version vector it
-// reflects) through a caller-supplied publish hook — in the collection
-// service, the hook of a server built WithPeers, which atomically swaps
-// the counter the /v1/query, /v1/mine, and /v1/stats handlers answer
-// from.
+// Each peer's replica is a one-shard mining.ShardedCounter fed through
+// ApplyDelta. Every successful pull that changed anything rebuilds the
+// merged global counter (a fresh ShardedCounter that every replica is
+// merged into) and publishes it, together with the per-peer version
+// vector it reflects, through a caller-supplied publish hook — in the
+// collection service, the hook of a server built WithPeers, which
+// atomically swaps the counter the /v1/query, /v1/mine, and /v1/stats
+// handlers answer from.
 package federation
 
 import (
@@ -183,8 +185,10 @@ type peer struct {
 	syncMu sync.Mutex
 
 	// mu guards everything below.
-	mu        sync.Mutex
-	replica   mining.CounterCore // nil until first sync
+	mu sync.Mutex
+	// replica is a one-shard counter holding the peer's state; nil until
+	// the first sync.
+	replica   *mining.ShardedCounter
 	version   uint64
 	gen       uint64
 	healthy   bool
@@ -449,7 +453,10 @@ func (co *Coordinator) syncPeer(ctx context.Context, p *peer) (changed bool, err
 	}
 
 	if d.Full() {
-		fresh := co.scheme.NewCore()
+		fresh, err := mining.NewShardedCounter(co.scheme, 1)
+		if err != nil {
+			return false, err
+		}
 		if err := fresh.ApplyDelta(d); err != nil {
 			return false, err
 		}
@@ -487,45 +494,40 @@ func (co *Coordinator) syncPeer(ctx context.Context, p *peer) (changed bool, err
 	return d.Records > 0, nil
 }
 
-// publishMerged rebuilds the global counter from every peer replica and
-// hands it to the publish hook together with the version vector it
-// reflects. Publishes are serialized so a slower merge can never
-// overwrite a newer one.
+// publishMerged rebuilds the global counter by merging every peer
+// replica into a fresh one-shard counter and hands it to the publish
+// hook together with the version vector it reflects. Publishes are
+// serialized so a slower merge can never overwrite a newer one.
 func (co *Coordinator) publishMerged() {
 	co.pubMu.Lock()
 	defer co.pubMu.Unlock()
-	merged := co.scheme.NewCore()
+	merged, err := mining.NewShardedCounter(co.scheme, 1)
 	vector := make(map[string]uint64, len(co.peers))
-	for _, p := range co.peers {
+	for i := 0; err == nil && i < len(co.peers); i++ {
+		p := co.peers[i]
 		// p.mu is held ACROSS the merge so the merged content and the
 		// version recorded for it cannot skew: a concurrent syncPeer
 		// advancing this replica (ApplyDelta, then version under p.mu)
 		// either lands entirely before this read or entirely after it.
-		// Lock order p.mu → replica.mu matches every other path; no
-		// path holds replica.mu while acquiring p.mu.
+		// Lock order p.mu → shard lock matches every other path; no path
+		// holds a shard lock while acquiring p.mu.
 		p.mu.Lock()
-		if p.replica == nil {
-			p.mu.Unlock()
-			continue
+		if p.replica != nil {
+			err = merged.Merge(p.replica)
+			vector[p.url] = p.version
 		}
-		err := merged.Merge(p.replica)
-		version := p.version
 		p.mu.Unlock()
-		if err != nil {
-			// Fingerprints matched at sync time, so this should be
-			// unreachable — but a swallowed failure here would freeze the
-			// published view while every peer looks healthy, so record it
-			// where /v1/stats surfaces it.
-			co.publishFailures++
-			co.lastPublishErr = err.Error()
-			return
-		}
-		vector[p.url] = version
 	}
-	if err := co.publish(mining.NewLiveFromCore(co.scheme, merged), vector); err != nil {
-		// Same visibility argument: a publish hook that rejects the
-		// counter (e.g. a coordinator built with a contract differing
-		// from its server's) must not fail silently forever.
+	if err == nil {
+		err = co.publish(merged, vector)
+	}
+	if err != nil {
+		// Fingerprints matched at sync time, so a merge failure should be
+		// unreachable, and a publish hook rejects a counter only when it
+		// was built with a contract differing from its server's — but a
+		// swallowed failure here would freeze the published view while
+		// every peer looks healthy, so record it where /v1/stats surfaces
+		// it.
 		co.publishFailures++
 		co.lastPublishErr = err.Error()
 		return

@@ -317,9 +317,9 @@ func TestBitMomentsMatchSweep(t *testing.T) {
 			}
 			requireSweepIdentical(t, "batch/2 shards", two, two.shards, mc.probes)
 
-			// Merge: a batched core and a record-by-record core.
-			a, b := mc.scheme.NewCore(), mc.scheme.NewCore()
-			if err := NewLiveFromCore(mc.scheme, a).IngestBatch(recs[:1000]); err != nil {
+			// Merge: a batched counter and a record-by-record one.
+			a, b := newCounter(1), newCounter(2)
+			if err := a.IngestBatch(recs[:1000]); err != nil {
 				t.Fatal(err)
 			}
 			for _, rec := range recs[1000:1100] {
@@ -330,7 +330,7 @@ func TestBitMomentsMatchSweep(t *testing.T) {
 			if err := a.Merge(b); err != nil {
 				t.Fatal(err)
 			}
-			requireSweepIdentical(t, "merge", NewLiveFromCore(mc.scheme, a), []CounterCore{a}, mc.probes)
+			requireSweepIdentical(t, "merge", a, a.shards, mc.probes)
 
 			// ApplyDelta: a full pull, then an incremental one.
 			replica := newCounter(2)
@@ -353,7 +353,8 @@ func TestBitMomentsMatchSweep(t *testing.T) {
 			// The SnapshotVersioned fold.
 			snap, _ := two.SnapshotVersioned()
 			core := snap.(CounterCore)
-			requireSweepIdentical(t, "snapshot", NewLiveFromCore(mc.scheme, core), []CounterCore{core}, mc.probes)
+			frozen := &ShardedCounter{scheme: mc.scheme, shards: []CounterCore{core}}
+			requireSweepIdentical(t, "snapshot", frozen, frozen.shards, mc.probes)
 
 			// Save and restore at another shard count.
 			var buf bytes.Buffer

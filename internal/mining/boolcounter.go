@@ -196,36 +196,9 @@ func (c *boolCore) Supports(candidates []Itemset) ([]float64, error) {
 	return b.supports()
 }
 
-// Merge additively combines another core of the same fingerprint.
-func (c *boolCore) Merge(other CounterCore) error {
-	if other == nil {
-		return fmt.Errorf("%w: nil counter", ErrMining)
-	}
-	o, ok := other.(*boolCore)
-	if !ok {
-		return fmt.Errorf("%w: cannot merge a %s counter into a %s counter", ErrMining, other.Scheme(), c.Scheme())
-	}
-	if c == o {
-		return fmt.Errorf("%w: cannot merge a counter into itself", ErrMining)
-	}
-	if c.Fingerprint() != o.Fingerprint() {
-		return fmt.Errorf("%w: cannot merge counters with different schema or perturbation contract", ErrMining)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	for row, cnt := range o.rows {
-		c.rows[row] += cnt
-	}
-	c.n += o.n
-	c.addMomentsLocked(o.mom)
-	return nil
-}
-
-// ApplyDelta folds a replication delta into the core: every cell is a
+// applyDelta folds a replication delta into the core: every cell is a
 // batch of Count perturbed rows with bitset Idx.
-func (c *boolCore) ApplyDelta(d *CounterDelta) error {
+func (c *boolCore) applyDelta(d *CounterDelta) error {
 	if err := validateDelta(d, c.Fingerprint()); err != nil {
 		return err
 	}

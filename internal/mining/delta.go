@@ -17,9 +17,9 @@ import (
 // compatibility fingerprint (so only sites running the same scheme,
 // schema, and perturbation contract merge), compact versioned deltas
 // extracted from a live ShardedCounter of any scheme, and additive
-// application on the scheme's CounterCore, which a coordinator uses to
-// maintain one global counter over which the existing estimator and
-// miner run unchanged.
+// application through ShardedCounter.ApplyDelta and Merge, which a
+// coordinator uses to keep one replica per site and one global counter
+// over which the existing estimator and miner run unchanged.
 
 // CounterDelta is one replication pull's payload: the sparse change of
 // the FULL-domain (joint) histogram between two replication positions,
@@ -87,7 +87,7 @@ func CompatibilityFingerprint(schema *dataset.Schema, m core.UniformMatrix) stri
 }
 
 // Fingerprint returns the counter's compatibility fingerprint.
-func (c *MaterializedGammaCounter) Fingerprint() string {
+func (c *gammaCore) Fingerprint() string {
 	return CompatibilityFingerprint(c.schema, c.matrix)
 }
 
@@ -344,15 +344,15 @@ func checkCells(cells []DeltaCell, records int) error {
 	return nil
 }
 
-// ApplyDelta folds a replication delta into the counter: every cell is a
+// applyDelta folds a replication delta into the core: every cell is a
 // batch of d.Count records at joint index d.Idx, decomposed through the
 // schema's record↔index bijection and added to every subset histogram —
 // exactly what Add would have done record by record, in O(cells·2^M)
 // instead of O(records·2^M). The caller is responsible for chaining
 // (applying a full delta to an EMPTY counter and an incremental delta to
-// the state at exactly FromVersion); the counter validates everything
+// the state at exactly FromVersion); the core validates everything
 // else: fingerprint, cell ranges, positivity, and the record-count sum.
-func (c *MaterializedGammaCounter) ApplyDelta(d *CounterDelta) error {
+func (c *gammaCore) applyDelta(d *CounterDelta) error {
 	if err := validateDelta(d, c.Fingerprint()); err != nil {
 		return err
 	}

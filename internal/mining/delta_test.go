@@ -2,6 +2,7 @@ package mining
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -42,7 +43,7 @@ func randomRecord(s *dataset.Schema, rng *rand.Rand) dataset.Record {
 }
 
 // countersEqual compares every subset histogram and the record count.
-func countersEqual(t *testing.T, want, got *MaterializedGammaCounter) {
+func countersEqual(t *testing.T, want, got *gammaCore) {
 	t.Helper()
 	if want.N() != got.N() {
 		t.Fatalf("record count %d, want %d", got.N(), want.N())
@@ -69,7 +70,7 @@ func TestDeltaSinceFullThenIncrementalReconstructsCounter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replica, err := NewMaterializedGammaCounter(s, m)
+	replica, err := newGammaCore(s, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestDeltaSinceFullThenIncrementalReconstructsCounter(t *testing.T) {
 		if add > 0 && d.ToVersion <= since {
 			t.Fatalf("round %d: ToVersion %d did not advance past %d after %d new records", round, d.ToVersion, since, add)
 		}
-		if err := replica.ApplyDelta(d); err != nil {
+		if err := replica.applyDelta(d); err != nil {
 			t.Fatal(err)
 		}
 		since = d.ToVersion
@@ -114,7 +115,7 @@ func TestDeltaSinceFullThenIncrementalReconstructsCounter(t *testing.T) {
 	if total == 0 {
 		t.Fatal("degenerate test: no records added")
 	}
-	countersEqual(t, src.Snapshot().(*MaterializedGammaCounter), replica)
+	countersEqual(t, src.Snapshot().(*gammaCore), replica)
 }
 
 func TestDeltaSinceUnknownBaselineFallsBackToFull(t *testing.T) {
@@ -268,7 +269,7 @@ func TestDeltaSinceUnchangedCounterReusesToken(t *testing.T) {
 func TestApplyDeltaRejectsBadPayloads(t *testing.T) {
 	s := deltaTestSchema(t)
 	m := deltaTestMatrix(t, s)
-	c, err := NewMaterializedGammaCounter(s, m)
+	c, err := newGammaCore(s, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +286,7 @@ func TestApplyDeltaRejectsBadPayloads(t *testing.T) {
 		{"negative records", &CounterDelta{Fingerprint: fp, Records: -1}},
 	}
 	for _, tc := range cases {
-		if err := c.ApplyDelta(tc.d); err == nil {
+		if err := c.applyDelta(tc.d); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
@@ -294,107 +295,244 @@ func TestApplyDeltaRejectsBadPayloads(t *testing.T) {
 	}
 }
 
-func TestMergeMatchesUnion(t *testing.T) {
-	s := deltaTestSchema(t)
-	m := deltaTestMatrix(t, s)
-	rng := rand.New(rand.NewSource(17))
+// newCounterOf builds a sharded counter, failing the test on error.
+func newCounterOf(t *testing.T, scheme CounterScheme, shards int) *ShardedCounter {
+	t.Helper()
+	c, err := NewShardedCounter(scheme, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
 
-	union, err := NewMaterializedGammaCounter(s, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged, err := NewMaterializedGammaCounter(s, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for site := 0; site < 3; site++ {
-		part, err := NewMaterializedGammaCounter(s, m)
-		if err != nil {
+// ingestInto batch-ingests records into every counter given.
+func ingestInto(t *testing.T, records [][]Item, counters ...*ShardedCounter) {
+	t.Helper()
+	for _, c := range counters {
+		if err := c.IngestBatch(records); err != nil {
 			t.Fatal(err)
-		}
-		for i := 0; i < 20+site*7; i++ {
-			rec := recordItems(randomRecord(s, rng))
-			if err := part.Ingest(rec); err != nil {
-				t.Fatal(err)
-			}
-			if err := union.Ingest(rec); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := merged.Merge(part); err != nil {
-			t.Fatal(err)
-		}
-	}
-	countersEqual(t, union, merged)
-
-	// Reconstructed supports over the merged counter equal the union's.
-	cands := []Itemset{}
-	for v := 0; v < 3; v++ {
-		set, err := NewItemset(Item{Attr: 0, Value: v})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cands = append(cands, set)
-	}
-	want, err := union.Supports(cands)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := merged.Supports(cands)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if math.Abs(want[i]-got[i]) > 1e-9 {
-			t.Fatalf("support %d: %v, want %v", i, got[i], want[i])
 		}
 	}
 }
 
+// requireSameCounter holds got to want exactly: record count, joint
+// cells, and every probe's support and estimate, compared with ==
+// (integer-valued counts make every fold exact).
+func requireSameCounter(t *testing.T, want, got *ShardedCounter, probes []Itemset) {
+	t.Helper()
+	if got.N() != want.N() {
+		t.Fatalf("record count %d, want %d", got.N(), want.N())
+	}
+	requireSameCells(t, jointOf(want), jointOf(got))
+	wantSup, err := want.Supports(probes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotSup, err := got.Supports(probes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantEst, _, err := want.Estimates(probes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotEst, _, err := got.Estimates(probes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range probes {
+		if gotSup[i] != wantSup[i] || gotEst[i] != wantEst[i] {
+			t.Fatalf("%s: support %v estimate %+v, want %v %+v", p.Key(), gotSup[i], gotEst[i], wantSup[i], wantEst[i])
+		}
+	}
+}
+
+// jointOf reads a counter's joint cells, index-sorted.
+func jointOf(c *ShardedCounter) []DeltaCell {
+	cut := c.cutShards(cutJoint, nil)
+	return cut.joint()
+}
+
+// requireSameCells holds two index-sorted cell lists equal with ==.
+func requireSameCells(t *testing.T, want, got []DeltaCell) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d cells, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("cell %d: %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestMergeMatchesUnion: for every scheme, merging per-site counters —
+// an empty site among them, at differing shard counts — reproduces the
+// counter of the union of their records exactly.
+func TestMergeMatchesUnion(t *testing.T) {
+	db := buildSkewedDB(t, 600, 17)
+	probes := probeItemsets(t, db.Schema)
+	for _, ls := range liveSchemes(t, db.Schema) {
+		t.Run(ls.name, func(t *testing.T) {
+			records := ls.perturb(t, db, rand.New(rand.NewSource(18)))
+			union := newCounterOf(t, ls.scheme, 3)
+			merged := newCounterOf(t, ls.scheme, 2)
+			lo := 0
+			for site, n := range []int{150, 0, 450} {
+				part := newCounterOf(t, ls.scheme, site+1)
+				ingestInto(t, records[lo:lo+n], part, union)
+				lo += n
+				if err := merged.Merge(part); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if merged.Version() != uint64(len(records)) {
+				t.Fatalf("merged version %d, want %d", merged.Version(), len(records))
+			}
+			requireSameCounter(t, union, merged, probes)
+		})
+	}
+}
+
+// TestMergeRejectsIncompatibleCounters: for every scheme, Merge refuses
+// nil, itself, another scheme's counter over the same schema, a counter
+// over a different category vocabulary, and one over the same schema
+// under different perturbation parameters — and a refused merge leaves
+// the counter untouched.
 func TestMergeRejectsIncompatibleCounters(t *testing.T) {
-	s := deltaTestSchema(t)
-	m := deltaTestMatrix(t, s)
-	c1, err := NewMaterializedGammaCounter(s, m)
+	db := buildSkewedDB(t, 50, 19)
+	schemes := liveSchemes(t, db.Schema)
+	attrs := append([]dataset.Attribute(nil), db.Schema.Attrs...)
+	last := &attrs[len(attrs)-1]
+	last.Categories = append(append([]string(nil), last.Categories[:len(last.Categories)-1]...), "renamed")
+	renamed, err := dataset.NewSchema(db.Schema.Name, attrs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c1.Merge(nil); err == nil {
-		t.Error("nil counter merged")
+	for _, ls := range schemes {
+		t.Run(ls.name, func(t *testing.T) {
+			c := newCounterOf(t, ls.scheme, 2)
+			others := map[string]*ShardedCounter{"nil": nil, "self": c}
+			for _, other := range schemes {
+				if other.name != ls.name {
+					o := newCounterOf(t, other.scheme, 1)
+					ingestInto(t, other.perturb(t, db, rand.New(rand.NewSource(20))), o)
+					others["scheme "+other.name] = o
+				}
+			}
+			vocab, err := SchemeForContract(ls.name, renamed, liveTestGamma)
+			if err != nil {
+				t.Fatal(err)
+			}
+			others["category vocabulary"] = newCounterOf(t, vocab, 1)
+			params, err := SchemeForContract(ls.name, db.Schema, liveTestGamma/2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			others["perturbation parameters"] = newCounterOf(t, params, 1)
+			for name, o := range others {
+				if o != nil && o != c {
+					ingestInto(t, [][]Item{recordItems(db.Records[0])}, o)
+				}
+				if err := c.Merge(o); !errors.Is(err, ErrMining) {
+					t.Errorf("%s: merge returned %v, want ErrMining", name, err)
+				}
+			}
+			if c.N() != 0 || c.Version() != 0 {
+				t.Fatalf("refused merges moved the counter: n=%d version=%d", c.N(), c.Version())
+			}
+		})
 	}
-	if err := c1.Merge(c1); err == nil {
-		t.Error("self-merge accepted")
+}
+
+// TestMergedCounterFullDeltaMatchesUnion: for every scheme, a merged
+// counter serves a full delta equal to the union's, and saves and
+// restores like any live counter (the shape a federation coordinator
+// publishes).
+func TestMergedCounterFullDeltaMatchesUnion(t *testing.T) {
+	db := buildSkewedDB(t, 400, 23)
+	probes := probeItemsets(t, db.Schema)
+	for _, ls := range liveSchemes(t, db.Schema) {
+		t.Run(ls.name, func(t *testing.T) {
+			records := ls.perturb(t, db, rand.New(rand.NewSource(24)))
+			union := newCounterOf(t, ls.scheme, 2)
+			merged := newCounterOf(t, ls.scheme, 1)
+			for _, span := range [][2]int{{0, 250}, {250, 400}} {
+				site := newCounterOf(t, ls.scheme, 3)
+				ingestInto(t, records[span[0]:span[1]], site, union)
+				if err := merged.Merge(site); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := union.DeltaSince(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := merged.DeltaSince(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Full() || got.Records != want.Records || got.Fingerprint != want.Fingerprint {
+				t.Fatalf("merged full delta: full=%v records=%d, want full %d records", got.Full(), got.Records, want.Records)
+			}
+			requireSameCells(t, want.Cells, got.Cells)
+
+			var buf bytes.Buffer
+			if err := merged.CheckpointCut(0).Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := LoadLiveCounter(&buf, ls.scheme, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameCounter(t, union, loaded, probes)
+		})
 	}
-	other, err := dataset.NewSchema("delta-test", []dataset.Attribute{
-		{Name: "a", Categories: []string{"a0", "a1", "a2"}},
-		{Name: "b", Categories: []string{"b0", "b1"}},
-		{Name: "c", Categories: []string{"c0", "c1", "c2", "x"}}, // one renamed category
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	om, err := core.NewGammaDiagonal(other.DomainSize(), 19)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := NewMaterializedGammaCounter(other, om)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c1.Merge(c2); err == nil {
-		t.Error("mismatched category vocabulary merged")
-	}
-	// Same *Schema, different perturbation matrix: the counts live under
-	// different distortions and must not merge either.
-	m2, err := core.NewGammaDiagonal(s.DomainSize(), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c3, err := NewMaterializedGammaCounter(s, m2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c1.Merge(c3); err == nil {
-		t.Error("shared-schema counter with different matrix merged")
+}
+
+// TestMergedCounterChainsIncrementalDeltas: for every scheme, a puller of
+// a merged counter chains incrementally and exactly across a further
+// merge and a direct ingest, because Merge journals the cells it adds.
+func TestMergedCounterChainsIncrementalDeltas(t *testing.T) {
+	db := buildSkewedDB(t, 500, 29)
+	probes := probeItemsets(t, db.Schema)
+	for _, ls := range liveSchemes(t, db.Schema) {
+		t.Run(ls.name, func(t *testing.T) {
+			records := ls.perturb(t, db, rand.New(rand.NewSource(30)))
+			union := newCounterOf(t, ls.scheme, 1)
+			merged := newCounterOf(t, ls.scheme, 2)
+			replica := newCounterOf(t, ls.scheme, 1)
+			merge := func(lo, hi int) {
+				site := newCounterOf(t, ls.scheme, 2)
+				ingestInto(t, records[lo:hi], site, union)
+				if err := merged.Merge(site); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var since uint64
+			pull := func(records int) {
+				d, err := merged.DeltaSince(since)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if since != 0 && (d.Full() || d.FromVersion != since || d.Records != records) {
+					t.Fatalf("pull from %d: full=%v from=%d records=%d, want incremental %d records",
+						since, d.Full(), d.FromVersion, d.Records, records)
+				}
+				if err := replica.ApplyDelta(d); err != nil {
+					t.Fatal(err)
+				}
+				since = d.ToVersion
+				requireSameCounter(t, union, replica, probes)
+			}
+			merge(0, 200)
+			pull(200)
+			merge(200, 350)
+			pull(150)
+			ingestInto(t, records[350:420], merged, union)
+			merge(420, 500)
+			pull(150)
+		})
 	}
 }
 
@@ -421,68 +559,4 @@ func TestFingerprintSensitivity(t *testing.T) {
 	if CompatibilityFingerprint(s2, m) == base {
 		t.Error("schema name change not reflected")
 	}
-}
-
-// TestNewLiveFromCoreServesMergedState: a frozen core wrapped as a
-// live counter (a federation coordinator's merged view) answers reads,
-// serves replication deltas and saves like any live counter.
-func TestNewLiveFromCoreServesMergedState(t *testing.T) {
-	s := deltaTestSchema(t)
-	m := deltaTestMatrix(t, s)
-	rng := rand.New(rand.NewSource(23))
-	scheme, err := NewGammaScheme(s, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := scheme.NewCore().(*MaterializedGammaCounter)
-	for i := 0; i < 30; i++ {
-		if err := src.Ingest(recordItems(randomRecord(s, rng))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	frozen := scheme.NewCore()
-	src.foldInto(frozen)
-	wrapped := NewLiveFromCore(scheme, frozen)
-	if wrapped.N() != 30 || wrapped.Version() != 30 || wrapped.Shards() != 1 {
-		t.Fatalf("wrapped counter N=%d version=%d shards=%d", wrapped.N(), wrapped.Version(), wrapped.Shards())
-	}
-	set, err := NewItemset(Item{Attr: 1, Value: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := src.Supports([]Itemset{set})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := wrapped.Supports([]Itemset{set})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(want[0]-got[0]) > 1e-9 {
-		t.Fatalf("support %v, want %v", got[0], want[0])
-	}
-	// The wrapped counter participates in replication: a full pull
-	// reproduces it.
-	d, err := wrapped.DeltaSince(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replica, err := NewMaterializedGammaCounter(s, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := replica.ApplyDelta(d); err != nil {
-		t.Fatal(err)
-	}
-	countersEqual(t, src, replica)
-	// Still save/load compatible (the persist path of a coordinator).
-	var buf bytes.Buffer
-	if err := wrapped.CheckpointCut(0).Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadLiveCounter(&buf, scheme, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	countersEqual(t, src, loaded.shards[0].(*MaterializedGammaCounter))
 }

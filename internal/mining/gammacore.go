@@ -11,23 +11,23 @@ import (
 )
 
 // CounterCore implementation for the gamma-diagonal scheme. The core is
-// MaterializedGammaCounter (see materialized.go); this file adds the
-// scheme-generic plumbing: item-list ingestion, the prepared-batch read
+// gammaCore (see materialized.go); this file adds the scheme-generic
+// plumbing: item-list ingestion, the prepared-batch read
 // path (validate/route once, fold only the subset histograms the batch
 // touches one shard lock at a time, evaluate the Eq. 28 closed form
 // across a worker pool), snapshot folding, joint-histogram extraction
 // for replication deltas, and the v3 persistence hooks.
 
-// Compile-time check: MaterializedGammaCounter is the gamma core.
-var _ CounterCore = (*MaterializedGammaCounter)(nil)
+// Compile-time check: gammaCore is the gamma core.
+var _ CounterCore = (*gammaCore)(nil)
 
 // Scheme names the core's perturbation scheme.
-func (c *MaterializedGammaCounter) Scheme() string { return SchemeGamma }
+func (c *gammaCore) Scheme() string { return SchemeGamma }
 
 // Ingest adds one perturbed record given as its item list. The gamma
 // scheme perturbs within the categorical domain, so a valid perturbed
 // record carries exactly one item per attribute.
-func (c *MaterializedGammaCounter) Ingest(items []Item) error {
+func (c *gammaCore) Ingest(items []Item) error {
 	p, err := c.prepareIngest([][]Item{items})
 	if err != nil {
 		return err
@@ -51,7 +51,7 @@ func (p gammaPrepared) recordCount() int { return p.n }
 // contract (exactly one in-range item per attribute, no duplicates) and
 // converts it to its dense record form. No counter state is read or
 // written — errors leave every shard untouched.
-func (c *MaterializedGammaCounter) prepareIngest(records [][]Item) (preparedIngest, error) {
+func (c *gammaCore) prepareIngest(records [][]Item) (preparedIngest, error) {
 	m := c.schema.M()
 	vals := make([]int, len(records)*m)
 	for i, items := range records {
@@ -84,7 +84,7 @@ func (c *MaterializedGammaCounter) prepareIngest(records [][]Item) (preparedInge
 // span — the cache behavior a record-at-a-time loop cannot have. The
 // top mask's index is the record's joint cell, which a journaling core
 // logs.
-func (c *MaterializedGammaCounter) ingestPrepared(p preparedIngest, lo, hi int) time.Duration {
+func (c *gammaCore) ingestPrepared(p preparedIngest, lo, hi int) time.Duration {
 	m := c.schema.M()
 	vals := p.(gammaPrepared).vals[lo*m : hi*m]
 	wait := lockTimed(&c.mu)
@@ -111,41 +111,9 @@ func (c *MaterializedGammaCounter) ingestPrepared(p preparedIngest, lo, hi int) 
 	return wait
 }
 
-// Merge additively combines another gamma core into this one. Because
-// every subset histogram is a per-record sum, merging per-site counters
-// reproduces the counters of the union of their submissions exactly.
-// The two counters must share a compatibility fingerprint.
-func (c *MaterializedGammaCounter) Merge(other CounterCore) error {
-	if other == nil {
-		return fmt.Errorf("%w: nil counter", ErrMining)
-	}
-	o, ok := other.(*MaterializedGammaCounter)
-	if !ok {
-		return fmt.Errorf("%w: cannot merge a %s counter into a %s counter", ErrMining, other.Scheme(), c.Scheme())
-	}
-	if c == o {
-		return fmt.Errorf("%w: cannot merge a counter into itself", ErrMining)
-	}
-	// The fingerprint covers schema AND matrix, so it is checked even
-	// when the two counters share a *Schema — equal schema pointers say
-	// nothing about the distortion the counts were collected under.
-	if c.Fingerprint() != o.Fingerprint() {
-		return fmt.Errorf("%w: cannot merge counters with different schema or perturbation contract", ErrMining)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	for mask := 1; mask < len(c.hists); mask++ {
-		addInto(c.hists[mask], o.hists[mask])
-	}
-	c.n += o.n
-	return nil
-}
-
 // foldInto adds this core's state into dst (a fresh unshared core).
-func (c *MaterializedGammaCounter) foldInto(dst CounterCore) {
-	d := dst.(*MaterializedGammaCounter)
+func (c *gammaCore) foldInto(dst CounterCore) {
+	d := dst.(*gammaCore)
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	d.n += c.n
@@ -157,7 +125,7 @@ func (c *MaterializedGammaCounter) foldInto(dst CounterCore) {
 // cut reads the core at its journal position under one hold of the write
 // lock, running edit on the journal first. The joint histogram is the top
 // subset histogram, so its size bounds the distinct cells.
-func (c *MaterializedGammaCounter) cut(read cutRead, edit func(*journal)) shardCut {
+func (c *gammaCore) cut(read cutRead, edit func(*journal)) shardCut {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if edit != nil {
@@ -211,7 +179,7 @@ type gammaBatch struct {
 // prepare validates the batch and computes each candidate's (subset
 // mask, histogram index) across a worker pool — candidate batches come
 // from Apriori passes, which can be thousands of itemsets wide.
-func (c *MaterializedGammaCounter) prepare(candidates []Itemset) (counterBatch, error) {
+func (c *gammaCore) prepare(candidates []Itemset) (counterBatch, error) {
 	b := &gammaBatch{
 		schema:   c.schema,
 		matrix:   c.matrix,
@@ -250,7 +218,7 @@ func (c *MaterializedGammaCounter) prepare(candidates []Itemset) (counterBatch, 
 // gather merges, under this core's lock, only the subset histograms the
 // routed batch touches. Shard-local (n, hists) pairs are internally
 // consistent, so their sum reconstructs counts for a valid record set.
-func (c *MaterializedGammaCounter) gather(cb counterBatch) {
+func (c *gammaCore) gather(cb counterBatch) {
 	b := cb.(*gammaBatch)
 	c.mu.RLock()
 	defer c.mu.RUnlock()

@@ -12,10 +12,11 @@ import (
 // FRAPP's central claim is that gamma-diagonal, MASK, and cut-and-paste
 // are all instances of one perturbation-matrix framework. This file is
 // that claim turned into an API: LiveCounter is the scheme-polymorphic
-// contract every layer of the stack (ingestion service, query engine,
-// mining jobs, persistence, federation) programs against, CounterScheme
-// names and constructs one scheme's counting machinery, and CounterCore
-// is the per-shard engine a ShardedCounter stripes over. Gamma, MASK,
+// contract the ingestion service, query engine and mining jobs program
+// against (persistence and federation take its ShardedCounter
+// implementation), CounterScheme names and constructs one scheme's
+// counting machinery, and CounterCore is the per-shard engine a
+// ShardedCounter stripes over. Gamma, MASK,
 // and cut-and-paste each provide a core; everything above the core —
 // lock-striped ingestion, merge-on-demand reads, snapshot versioning,
 // v3 persistence, replication deltas — is written once against these
@@ -49,11 +50,13 @@ type PointEstimate struct {
 
 // LiveCounter is the scheme-polymorphic live ingestion counter: the
 // single interface the collection service, interactive query engine,
-// async mining jobs, and federation all program against. Implemented by
-// ShardedCounter for every scheme (the state stores persist that
-// concrete type); which scheme a counter runs is observable (Scheme)
-// and sealed into its compatibility fingerprint, so two counters under
-// different schemes can never be merged.
+// and async mining jobs program against. Implemented by ShardedCounter
+// for every scheme, and by WindowedCounter over a ring of them; the
+// durable store and federation take the concrete *ShardedCounter, whose
+// DeltaSince, ApplyDelta and Merge a window cannot offer. Which scheme a
+// counter runs is observable (Scheme) and sealed into its compatibility
+// fingerprint, so two counters under different schemes can never be
+// merged.
 type LiveCounter interface {
 	// Scheme names the perturbation scheme the counter counts under.
 	Scheme() string
@@ -92,15 +95,11 @@ type LiveCounter interface {
 	// identifier, schema, and scheme parameters. Counters merge — via
 	// federation deltas or state restores — only on exact match.
 	Fingerprint() string
-	// DeltaSince extracts a replication delta (see delta.go).
-	DeltaSince(since uint64) (*CounterDelta, error)
-	// DeltaEpoch is the counter object's random replication epoch.
-	DeltaEpoch() uint64
 }
 
 // CounterScheme identifies one perturbation scheme's counting contract
 // and constructs its cores. A scheme value is fully validated at
-// construction, so NewCore never fails afterwards.
+// construction, so newCore never fails afterwards.
 type CounterScheme interface {
 	// Name returns the scheme identifier (SchemeGamma, SchemeMask,
 	// SchemeCutPaste).
@@ -110,16 +109,17 @@ type CounterScheme interface {
 	// Fingerprint returns the scheme's compatibility fingerprint —
 	// scheme identifier, schema, and scheme parameters.
 	Fingerprint() string
-	// NewCore builds one empty per-shard counting core.
-	NewCore() CounterCore
+	// newCore builds one empty per-shard counting core.
+	newCore() CounterCore
 }
 
-// CounterCore is one shard (or one federation replica) of a live
-// counter: an internally locked, incrementally materialized store of
-// perturbed counts for one scheme. A frozen merged core is directly
-// minable (it is a SupportCounter). The unexported methods seal the
+// CounterCore is one shard of a live counter: an internally locked,
+// incrementally materialized store of perturbed counts for one scheme.
+// A frozen snapshot core is directly minable (it is a SupportCounter).
+// Every write method but Ingest is unexported, which seals the
 // interface — cores live in this package, where the sharding, delta,
-// and persistence plumbing can rely on their internals.
+// and persistence plumbing can rely on their internals; other packages
+// reach them only through a ShardedCounter.
 type CounterCore interface {
 	SupportCounter
 	// Scheme names the core's perturbation scheme.
@@ -132,11 +132,10 @@ type CounterCore interface {
 	// calls its own methods rather than going through this interface,
 	// which keeps the one-record batch off the heap.
 	Ingest(items []Item) error
-	// Merge additively combines another core of the same scheme and
-	// fingerprint into this one.
-	Merge(other CounterCore) error
-	// ApplyDelta folds a replication delta into the core.
-	ApplyDelta(d *CounterDelta) error
+	// applyDelta folds a replication delta into the core — WAL replay,
+	// replication and ShardedCounter.Merge all land through it — and
+	// logs its cells into the core's journal.
+	applyDelta(d *CounterDelta) error
 
 	// prepareIngest validates a batch of item-list records against the
 	// scheme's contract and converts them into the scheme's compact
@@ -286,7 +285,7 @@ type GammaScheme struct {
 }
 
 // NewGammaScheme validates the matrix against the schema domain and the
-// materialization cap, so NewCore can never fail.
+// materialization cap, so newCore can never fail.
 func NewGammaScheme(schema *dataset.Schema, m core.UniformMatrix) (*GammaScheme, error) {
 	if schema == nil {
 		return nil, fmt.Errorf("%w: nil schema", ErrMining)
@@ -315,9 +314,9 @@ func (g *GammaScheme) Matrix() core.UniformMatrix { return g.matrix }
 // Fingerprint returns the gamma compatibility fingerprint.
 func (g *GammaScheme) Fingerprint() string { return CompatibilityFingerprint(g.schema, g.matrix) }
 
-// NewCore builds one empty materialized gamma core.
-func (g *GammaScheme) NewCore() CounterCore {
-	c, err := NewMaterializedGammaCounter(g.schema, g.matrix)
+// newCore builds one empty materialized gamma core.
+func (g *GammaScheme) newCore() CounterCore {
+	c, err := newGammaCore(g.schema, g.matrix)
 	if err != nil {
 		// Unreachable: NewGammaScheme validated every constructor input.
 		panic(fmt.Sprintf("mining: gamma core construction failed after validation: %v", err))
@@ -357,8 +356,8 @@ func (m *MaskCounterScheme) Mask() *core.MaskScheme { return m.est.s }
 // Fingerprint returns the MASK compatibility fingerprint.
 func (m *MaskCounterScheme) Fingerprint() string { return m.est.fingerprint() }
 
-// NewCore builds one empty MASK core.
-func (m *MaskCounterScheme) NewCore() CounterCore { return newBoolCore(m.est) }
+// newCore builds one empty MASK core.
+func (m *MaskCounterScheme) newCore() CounterCore { return newBoolCore(m.est) }
 
 // CutPasteCounterScheme is the cut-and-paste counting contract:
 // boolean-encoded records through the C&P operator, counted in a sparse
@@ -392,8 +391,8 @@ func (c *CutPasteCounterScheme) CutPaste() *core.CutPasteScheme { return c.est.s
 // Fingerprint returns the C&P compatibility fingerprint.
 func (c *CutPasteCounterScheme) Fingerprint() string { return c.est.fingerprint() }
 
-// NewCore builds one empty C&P core.
-func (c *CutPasteCounterScheme) NewCore() CounterCore { return newBoolCore(c.est) }
+// newCore builds one empty C&P core.
+func (c *CutPasteCounterScheme) newCore() CounterCore { return newBoolCore(c.est) }
 
 // checkBoolMapping bounds the boolean item universe so joint row indexes
 // fit the replication cell index (uint64) and the shift arithmetic: the

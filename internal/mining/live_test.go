@@ -437,7 +437,7 @@ func TestLiveSchemesDeltaReplication(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			replica := ls.scheme.NewCore()
+			replica := newCounterOf(t, ls.scheme, 1)
 			var since uint64
 			next := 0
 			for _, chunk := range []int{0, 400, 1, 700, 0, len(records) - 1101} {
@@ -496,11 +496,11 @@ func TestLiveSchemesDeltaReplication(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := ls.scheme.NewCore().ApplyDelta(d); !errors.Is(err, ErrMining) {
+				if err := newCounterOf(t, ls.scheme, 1).ApplyDelta(d); !errors.Is(err, ErrMining) {
 					t.Errorf("%s delta applied to %s replica: %v", other.name, ls.name, err)
 				}
-				if err := ls.scheme.NewCore().Merge(otherSrc.scheme.NewCore()); !errors.Is(err, ErrMining) {
-					t.Errorf("%s core merged into %s replica: %v", other.name, ls.name, err)
+				if err := newCounterOf(t, ls.scheme, 1).Merge(otherSrc); !errors.Is(err, ErrMining) {
+					t.Errorf("%s counter merged into %s replica: %v", other.name, ls.name, err)
 				}
 			}
 		})

@@ -8,15 +8,15 @@ import (
 	"repro/internal/dataset"
 )
 
-// MaterializedGammaCounter is an incremental variant of GammaCounter: it
-// maintains the marginal histogram of EVERY attribute subset as records
-// arrive, so mining queries never rescan the database. Insertion costs
-// O(M·2^M) per record (fine for the paper's M ≤ 7; capped at M ≤ 16);
+// gammaCore is an incremental variant of GammaCounter: it maintains the
+// marginal histogram of EVERY attribute subset as records arrive, so
+// mining queries never rescan the database. Insertion costs O(M·2^M)
+// per record (fine for the paper's M ≤ 7; capped at M ≤ 16);
 // Supports then answers each candidate with a histogram lookup plus the
 // Eq. 28 closed form. It is the gamma scheme's CounterCore — one shard
 // of a ShardedCounter, or a frozen snapshot of one — and is safe for
 // concurrent use.
-type MaterializedGammaCounter struct {
+type gammaCore struct {
 	schema *dataset.Schema
 	matrix core.UniformMatrix
 
@@ -37,8 +37,8 @@ type MaterializedGammaCounter struct {
 // maxMaterializedAttrs bounds the 2^M memory/insert blowup.
 const maxMaterializedAttrs = 16
 
-// NewMaterializedGammaCounter allocates every subset histogram.
-func NewMaterializedGammaCounter(schema *dataset.Schema, m core.UniformMatrix) (*MaterializedGammaCounter, error) {
+// newGammaCore allocates every subset histogram.
+func newGammaCore(schema *dataset.Schema, m core.UniformMatrix) (*gammaCore, error) {
 	if schema.M() > maxMaterializedAttrs {
 		return nil, fmt.Errorf("%w: %d attributes exceeds materialization cap %d", ErrMining, schema.M(), maxMaterializedAttrs)
 	}
@@ -49,7 +49,7 @@ func NewMaterializedGammaCounter(schema *dataset.Schema, m core.UniformMatrix) (
 		return nil, err
 	}
 	nMasks := 1 << uint(schema.M())
-	c := &MaterializedGammaCounter{
+	c := &gammaCore{
 		schema:   schema,
 		matrix:   m,
 		cols:     make([][]int, nMasks),
@@ -79,19 +79,19 @@ func NewMaterializedGammaCounter(schema *dataset.Schema, m core.UniformMatrix) (
 }
 
 // N returns the number of ingested records.
-func (c *MaterializedGammaCounter) N() int {
+func (c *gammaCore) N() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return c.n
 }
 
 // Schema returns the counter's schema.
-func (c *MaterializedGammaCounter) Schema() *dataset.Schema { return c.schema }
+func (c *gammaCore) Schema() *dataset.Schema { return c.schema }
 
 // Supports answers candidates from the materialized histograms with the
 // Eq. 28 closed-form reconstruction, through the same prepared-batch
 // read path a sharded counter uses.
-func (c *MaterializedGammaCounter) Supports(candidates []Itemset) ([]float64, error) {
+func (c *gammaCore) Supports(candidates []Itemset) ([]float64, error) {
 	b, err := c.prepare(candidates)
 	if err != nil {
 		return nil, err

@@ -31,7 +31,7 @@ func TestMaterializedMatchesGammaCounter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mat, err := NewMaterializedGammaCounter(sc, m)
+	mat, err := newGammaCore(sc, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,10 +89,10 @@ func TestMaterializedValidation(t *testing.T) {
 	sc := db.Schema
 	m, _ := core.NewGammaDiagonal(sc.DomainSize(), 19)
 	wrong, _ := core.NewGammaDiagonal(sc.DomainSize()+1, 19)
-	if _, err := NewMaterializedGammaCounter(sc, wrong); !errors.Is(err, ErrMining) {
+	if _, err := newGammaCore(sc, wrong); !errors.Is(err, ErrMining) {
 		t.Fatal("order mismatch accepted")
 	}
-	c, err := NewMaterializedGammaCounter(sc, m)
+	c, err := newGammaCore(sc, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestMaterializedAttrCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, _ := core.NewGammaDiagonal(sc.DomainSize(), 19)
-	if _, err := NewMaterializedGammaCounter(sc, m); !errors.Is(err, ErrMining) {
+	if _, err := newGammaCore(sc, m); !errors.Is(err, ErrMining) {
 		t.Fatal("17-attribute schema accepted")
 	}
 }
@@ -124,7 +124,7 @@ func TestMaterializedConcurrentAddAndQuery(t *testing.T) {
 	db := buildSkewedDB(t, 4000, 43)
 	sc := db.Schema
 	m, _ := core.NewGammaDiagonal(sc.DomainSize(), 19)
-	c, err := NewMaterializedGammaCounter(sc, m)
+	c, err := newGammaCore(sc, m)
 	if err != nil {
 		t.Fatal(err)
 	}

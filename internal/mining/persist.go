@@ -58,7 +58,7 @@ type shardState struct {
 const schemeStateVersion = 3
 
 // stateMeta fills the state header for a gamma core.
-func (c *MaterializedGammaCounter) stateMeta() counterState {
+func (c *gammaCore) stateMeta() counterState {
 	return counterState{
 		Version:    schemeStateVersion,
 		Scheme:     SchemeGamma,
@@ -73,7 +73,7 @@ func (c *MaterializedGammaCounter) stateMeta() counterState {
 
 // checkState validates decoded state metadata against this core's
 // contract.
-func (c *MaterializedGammaCounter) checkState(st *counterState) error {
+func (c *gammaCore) checkState(st *counterState) error {
 	if st.SchemaName != c.schema.Name || st.M != c.schema.M() || st.DomainSize != c.schema.DomainSize() {
 		return fmt.Errorf("%w: state was saved for schema %q (M=%d, |S_U|=%d), not %q (M=%d, |S_U|=%d)",
 			ErrMining, st.SchemaName, st.M, st.DomainSize, c.schema.Name, c.schema.M(), c.schema.DomainSize())
@@ -89,7 +89,7 @@ func (c *MaterializedGammaCounter) checkState(st *counterState) error {
 // matching the record count — and folds its counts in. Callers restore
 // into freshly built counters only, so a partially applied failed load
 // is simply discarded.
-func (c *MaterializedGammaCounter) restoreShard(sh shardState) error {
+func (c *gammaCore) restoreShard(sh shardState) error {
 	if sh.N < 0 {
 		return fmt.Errorf("%w: negative record count %d", ErrMining, sh.N)
 	}

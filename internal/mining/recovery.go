@@ -38,13 +38,9 @@ const tokenRecoveryGap = 1 << 32
 // (tokens minted)/2^40, while 2^24 boots still fit in a uint64.
 const tokenRecoveryJitter = 1 << 40
 
-// ApplyDelta folds a replication or WAL delta into the live counter: the
-// cells land in one shard (validated by the shard's own ApplyDelta —
-// fingerprint, ranges, positivity, record-count sum) and the counter's
-// record count and content version advance by the delta's record count,
-// exactly as if the delta's records had been ingested one by one. A FULL
-// delta is accepted only by an empty counter — the caller chains deltas,
-// the counter refuses the one misuse that would double-count.
+// ApplyDelta folds a replication or WAL delta into the live counter. A
+// FULL delta is accepted only by an empty counter — the caller chains
+// deltas, the counter refuses the one misuse that would double-count.
 func (c *ShardedCounter) ApplyDelta(d *CounterDelta) error {
 	if d == nil {
 		return fmt.Errorf("%w: nil delta", ErrMining)
@@ -52,8 +48,38 @@ func (c *ShardedCounter) ApplyDelta(d *CounterDelta) error {
 	if d.Full() && c.N() != 0 {
 		return fmt.Errorf("%w: full delta applied to a counter already holding %d records", ErrMining, c.N())
 	}
+	return c.apply(d)
+}
+
+// Merge adds another counter's content into this one: the other
+// counter's joint cells, cut shard by shard, land in one shard of this
+// counter through the delta path, which journals them, so pullers of
+// this counter receive them in their next exact delta. Because every
+// observable is a per-record sum, merging per-site counters reproduces
+// the counter of the union of their records exactly. The two counters
+// must be distinct and share a compatibility fingerprint (which seals
+// scheme, schema, and perturbation parameters).
+func (c *ShardedCounter) Merge(other *ShardedCounter) error {
+	switch {
+	case other == nil:
+		return fmt.Errorf("%w: nil counter", ErrMining)
+	case other == c:
+		return fmt.Errorf("%w: cannot merge a counter into itself", ErrMining)
+	case other.Fingerprint() != c.Fingerprint():
+		return fmt.Errorf("%w: cannot merge a %s counter into a %s counter of a different scheme, schema, or perturbation contract",
+			ErrMining, other.Scheme(), c.Scheme())
+	}
+	cut := other.cutShards(cutJoint, nil)
+	return c.apply(&CounterDelta{Fingerprint: c.Fingerprint(), Records: cut.n, Cells: cut.joint()})
+}
+
+// apply lands a delta in the next shard in round-robin order, where the
+// core validates it (fingerprint, cell ranges, positivity, record-count
+// sum), and advances the record count and content version by its
+// records, exactly as if they had been ingested one by one.
+func (c *ShardedCounter) apply(d *CounterDelta) error {
 	shard := c.next.Add(1) % uint64(len(c.shards))
-	if err := c.shards[shard].ApplyDelta(d); err != nil {
+	if err := c.shards[shard].applyDelta(d); err != nil {
 		return err
 	}
 	c.total.Add(int64(d.Records))

@@ -42,8 +42,8 @@ func TestShardedApplyDeltaChainEquivalence(t *testing.T) {
 	if src.N() != replica.N() {
 		t.Fatalf("replica has %d records, want %d", replica.N(), src.N())
 	}
-	want := src.Snapshot().(*MaterializedGammaCounter)
-	got := replica.Snapshot().(*MaterializedGammaCounter)
+	want := src.Snapshot().(*gammaCore)
+	got := replica.Snapshot().(*gammaCore)
 	countersEqual(t, want, got)
 	// Version advanced with the applied records, so the replica mints
 	// coherent snapshot versions of its own.

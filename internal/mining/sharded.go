@@ -105,7 +105,7 @@ func NewShardedCounter(scheme CounterScheme, shards int) (*ShardedCounter, error
 		deltaEpoch: rand.Uint64(),
 	}
 	for i := range c.shards {
-		c.shards[i] = scheme.NewCore()
+		c.shards[i] = scheme.newCore()
 	}
 	return c, nil
 }
@@ -119,28 +119,6 @@ func NewShardedGammaCounter(schema *dataset.Schema, m core.UniformMatrix, shards
 		return nil, err
 	}
 	return NewShardedCounter(scheme, shards)
-}
-
-// NewLiveFromCore wraps a frozen merged core as a single-shard live
-// counter, so a federation coordinator's global view plugs into
-// everything built for the ingestion counter (service handlers, query
-// engine, Apriori) unchanged. The caller must hand over ownership: the
-// core becomes the counter's only shard. Its version line starts at the
-// record count, mirroring a state restore.
-func NewLiveFromCore(scheme CounterScheme, core CounterCore) *ShardedCounter {
-	if scheme == nil || core == nil {
-		panic("mining: NewLiveFromCore requires a scheme contract and a core")
-	}
-	c := &ShardedCounter{
-		scheme:     scheme,
-		shards:     []CounterCore{core},
-		deltaEpoch: rand.Uint64(),
-	}
-	n := core.N()
-	c.next.Store(uint64(n))
-	c.total.Store(int64(n))
-	c.version.Store(uint64(n))
-	return c
 }
 
 // Scheme names the counter's perturbation scheme.
@@ -293,7 +271,7 @@ func (c *ShardedCounter) SnapshotVersioned() (SupportCounter, uint64) {
 // package-internal callers (persist, delta) that need core plumbing.
 func (c *ShardedCounter) snapshotCore() (CounterCore, uint64) {
 	version := c.version.Load()
-	merged := c.scheme.NewCore()
+	merged := c.scheme.newCore()
 	for _, s := range c.shards {
 		s.foldInto(merged)
 	}

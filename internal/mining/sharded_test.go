@@ -343,7 +343,7 @@ func TestShardedLoadRejectsBadState(t *testing.T) {
 		t.Fatal("mismatched matrix accepted")
 	}
 	// Tampered per-shard totals must be rejected.
-	c.shards[1].(*MaterializedGammaCounter).hists[1][0] += 5
+	c.shards[1].(*gammaCore).hists[1][0] += 5
 	var tampered bytes.Buffer
 	if err := c.CheckpointCut(0).Save(&tampered); err != nil {
 		t.Fatal(err)

@@ -2,7 +2,6 @@ package mining
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,9 +22,9 @@ import (
 // WindowView surface that answers reads restricted to the newest K
 // buckets ("last 24h"). Windowed counters are in-memory only: their
 // content is defined by wall-clock expiry, which a WAL replayed at an
-// arbitrary later time cannot reproduce, so there is no Save and
-// DeltaSince refuses (the service layer gates stores and federation off
-// windowed collections for the same reason).
+// arbitrary later time cannot reproduce, so there is no Save and no
+// DeltaSince (the service layer gates stores and federation off windowed
+// collections for the same reason).
 
 // WindowView is the optional time-ranged read surface of a live
 // counter. The service layer type-asserts its counter against this to
@@ -81,10 +80,7 @@ type WindowedCounter struct {
 
 	// now is the rotation clock, injectable for tests (SetNowFunc).
 	now func() time.Time
-	// deltaEpoch exists only to satisfy LiveCounter; windowed counters
-	// never serve deltas.
-	deltaEpoch uint64
-	obs        IngestObserver
+	obs IngestObserver
 }
 
 // Compile-time check: WindowedCounter is a windowed LiveCounter.
@@ -110,11 +106,10 @@ func NewWindowedCounter(scheme CounterScheme, shards, buckets int, bucket time.D
 		return nil, fmt.Errorf("%w: window bucket duration %v must be positive", ErrMining, bucket)
 	}
 	w := &WindowedCounter{
-		scheme:     scheme,
-		bucket:     bucket,
-		ring:       make([]*ShardedCounter, buckets),
-		now:        time.Now,
-		deltaEpoch: rand.Uint64(),
+		scheme: scheme,
+		bucket: bucket,
+		ring:   make([]*ShardedCounter, buckets),
+		now:    time.Now,
 	}
 	first, err := NewShardedCounter(scheme, shards)
 	if err != nil {
@@ -386,7 +381,7 @@ func (w *WindowedCounter) SnapshotWindowVersioned(window time.Duration) (Support
 	w.mu.RLock()
 	defer w.mu.RUnlock()
 	version := w.version.Load()
-	merged := w.scheme.NewCore()
+	merged := w.scheme.newCore()
 	k := w.bucketsFor(window)
 	for i := 0; i < k; i++ {
 		bkt := w.ring[(w.head-i+len(w.ring))%len(w.ring)]
@@ -396,18 +391,3 @@ func (w *WindowedCounter) SnapshotWindowVersioned(window time.Duration) (Support
 	}
 	return merged, version
 }
-
-// errWindowedDurability marks the operations a wall-clock-defined
-// counter cannot support: persisted or replicated state replayed later
-// cannot reproduce "what had expired at the time".
-var errWindowedDurability = fmt.Errorf("%w: windowed counters are in-memory only (bucket expiry is wall-clock-defined and cannot be replayed)", ErrMining)
-
-// DeltaSince refuses: windowed counters do not serve replication
-// deltas (a delta stream cannot express expiry subtractions).
-func (w *WindowedCounter) DeltaSince(uint64) (*CounterDelta, error) {
-	return nil, errWindowedDurability
-}
-
-// DeltaEpoch returns the counter object's random epoch — present only
-// to satisfy LiveCounter; no delta is ever issued under it.
-func (w *WindowedCounter) DeltaEpoch() uint64 { return w.deltaEpoch }

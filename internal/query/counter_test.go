@@ -110,9 +110,12 @@ func TestCounterEngineMatchesScanEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// A lone core wrapped as a live counter — the shape a federation
-		// coordinator serves its merged view in.
-		single := mining.NewLiveFromCore(scheme, scheme.NewCore())
+		// A one-shard counter — the shape a federation coordinator serves
+		// its merged view in.
+		single, err := mining.NewShardedCounter(scheme, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
 		counters := map[string]mining.LiveCounter{"sharded": sharded, "single": single}
 		for _, ctr := range []*mining.ShardedCounter{sharded, single} {
 			if err := ctr.AddDatabase(pdb); err != nil {

@@ -584,7 +584,7 @@ func (r *Registry) buildCollection(name string, spec CollectionSpec) (*service.S
 	if r.access != nil {
 		opts = append(opts, service.WithAccessLog(r.access))
 	}
-	var st store.StateStore
+	var st *store.FileStore
 	switch {
 	case spec.windowed():
 		bucket, err := time.ParseDuration(spec.WindowBucket)
@@ -607,12 +607,10 @@ func (r *Registry) buildCollection(name string, spec CollectionSpec) (*service.S
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrRegistry, err)
 		}
-		fs, err := store.Open(dir, store.WithSyncMode(r.sync))
-		if err != nil {
+		if st, err = store.Open(dir, store.WithSyncMode(r.sync)); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrRegistry, err)
 		}
-		st = fs
-		opts = append(opts, service.WithStore(fs))
+		opts = append(opts, service.WithStore(st))
 	}
 	srv, err := service.NewServer(schema, core.PrivacySpec{Rho1: spec.Rho1, Rho2: spec.Rho2}, opts...)
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"strconv"
 
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/federation"
 	"repro/internal/mining"
@@ -39,7 +38,9 @@ var errWindowedServer = fmt.Errorf("%w: collection is a sliding window (in-memor
 
 // handleReplicate serves one replication pull.
 func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
-	if s.windowed {
+	// Every counter but a windowed server's ring is a ShardedCounter.
+	counter, ok := s.ctr().(*mining.ShardedCounter)
+	if !ok {
 		httpError(w, http.StatusConflict, errWindowedServer)
 		return
 	}
@@ -60,7 +61,6 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	// every process and could collide across a crash-reboot), so a stale
 	// (since, gen) pair can never be satisfied incrementally against a
 	// different state.
-	counter := s.ctr()
 	if gen != counter.DeltaEpoch() {
 		since = 0
 	}
@@ -118,11 +118,6 @@ func (s *Server) replaceCounter(c mining.LiveCounter, vector map[string]uint64) 
 // WithPeers, nil on any other server. The caller starts it; Server.Close
 // stops it.
 func (s *Server) Coordinator() *federation.Coordinator { return s.fed }
-
-// Matrix returns the server's gamma-diagonal perturbation matrix — the
-// zero matrix when the server runs a boolean scheme (CounterScheme
-// covers every scheme).
-func (s *Server) Matrix() core.UniformMatrix { return s.matrix }
 
 // PublishedSchema returns the schema the server publishes on /v1/schema.
 func (s *Server) PublishedSchema() *dataset.Schema { return s.schema }

@@ -74,7 +74,7 @@ func TestReplicateFullAndIncremental(t *testing.T) {
 	}
 
 	// Replaying both deltas rebuilds the server's counter exactly.
-	replica, err := mining.NewMaterializedGammaCounter(srv.schema, srv.matrix)
+	replica, err := mining.NewShardedCounter(srv.CounterScheme(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,10 @@ func TestReplaceCounterValidatesContract(t *testing.T) {
 	}
 
 	// A matching counter swaps in atomically with its version vector.
-	merged := srv.CounterScheme().NewCore()
+	merged, err := mining.NewShardedCounter(srv.CounterScheme(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	items := make([]mining.Item, srv.schema.M())
 	for j := range items {
 		items[j] = mining.Item{Attr: j}
@@ -249,7 +252,7 @@ func TestReplaceCounterValidatesContract(t *testing.T) {
 	}
 	genBefore := srv.CounterGeneration()
 	vector := map[string]uint64{"http://site-a": 42}
-	if err := srv.replaceCounter(mining.NewLiveFromCore(srv.CounterScheme(), merged), vector); err != nil {
+	if err := srv.replaceCounter(merged, vector); err != nil {
 		t.Fatal(err)
 	}
 	if srv.N() != 1 {

@@ -270,7 +270,7 @@ func TestSchemeEndToEnd(t *testing.T) {
 			}
 
 			// Replication: a full delta pulled over HTTP rebuilds the
-			// counter state on a fresh same-scheme core.
+			// counter state on a fresh same-scheme counter.
 			d, err := client.Replicate(0, 0)
 			if err != nil {
 				t.Fatal(err)
@@ -278,7 +278,10 @@ func TestSchemeEndToEnd(t *testing.T) {
 			if !d.Full() || d.Records != records {
 				t.Fatalf("full delta carries %d records (full=%v), want %d", d.Records, d.Full(), records)
 			}
-			replica := srv.CounterScheme().NewCore()
+			replica, err := mining.NewShardedCounter(srv.CounterScheme(), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if err := replica.ApplyDelta(d); err != nil {
 				t.Fatal(err)
 			}
@@ -582,7 +585,10 @@ func TestReplicateRejectsCrossScheme(t *testing.T) {
 	}
 
 	srvGamma, _ := startServer(t, WithScheme(mining.SchemeGamma))
-	replica := srvGamma.CounterScheme().NewCore()
+	replica, err := mining.NewShardedCounter(srvGamma.CounterScheme(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := replica.ApplyDelta(d); !errors.Is(err, mining.ErrMining) {
 		t.Fatalf("gamma replica accepted a MASK delta: %v", err)
 	}

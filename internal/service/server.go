@@ -88,7 +88,7 @@ type Server struct {
 	// flusher appends deltas to its WAL, and checkpointEvery records
 	// trigger compaction. storeMu serializes all store I/O (the flusher
 	// loop and explicit FlushWAL/CheckpointNow calls).
-	store           store.StateStore
+	store           *store.FileStore
 	storeMu         sync.Mutex
 	checkpointEvery int
 	persistStop     chan struct{}
@@ -127,7 +127,7 @@ type serverConfig struct {
 	jobTTL          time.Duration
 	queryLimit      int
 	maxBody         int64
-	store           store.StateStore
+	store           *store.FileStore
 	checkpointEvery int
 	walFlush        time.Duration
 	metrics         *telemetry.Registry
@@ -244,12 +244,9 @@ func NewServer(schema *dataset.Schema, spec core.PrivacySpec, opts ...Option) (*
 		}
 	} else if cfg.store != nil {
 		// The observer must be installed before Recover so the recovery
-		// outcome itself is observed. The store interface stays
-		// observer-free; any store that can report is duck-typed here.
+		// outcome itself is observed.
 		if met != nil {
-			if o, ok := cfg.store.(interface{ SetObserver(store.Observer) }); ok {
-				o.SetObserver(&met.storeObs)
-			}
+			cfg.store.SetObserver(&met.storeObs)
 		}
 		recovered, err := cfg.store.Recover(scheme, cfg.shards)
 		if err != nil {

@@ -31,7 +31,7 @@ const (
 // Mutually exclusive with WithPeers and WithWindow: a coordinator's
 // counter swaps would pull the counter object out from under the store's
 // log chain, and a window's expiry cannot be replayed.
-func WithStore(st store.StateStore) Option {
+func WithStore(st *store.FileStore) Option {
 	return func(c *serverConfig) { c.store = st }
 }
 

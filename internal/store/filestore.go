@@ -76,9 +76,17 @@ func WithSyncMode(m SyncMode) Option {
 	return func(s *FileStore) { s.sync = m }
 }
 
-// FileStore is the production StateStore: one directory holding
-// checkpoints and WAL segments. A directory belongs to exactly one
-// server process at a time; concurrent writers are unsupported.
+// FileStore is the durable store the collection service persists its
+// counter through: one directory holding checkpoints and WAL segments.
+// The lifecycle is: Recover once (before serving), Attach the live
+// counter (writes a fresh compacted boot checkpoint), then Append
+// periodically from a background flusher, Checkpoint on record
+// thresholds, and Close on shutdown. Append and Checkpoint are safe to
+// call while the attached counter ingests concurrently; the store's own
+// methods must not be called concurrently with each other (the service
+// serializes them on one flusher goroutine). A directory belongs to
+// exactly one server process at a time; concurrent writers are
+// unsupported.
 type FileStore struct {
 	dir  string
 	sync SyncMode
@@ -168,7 +176,10 @@ type walHeader struct {
 	StartToken uint64
 }
 
-// Recover implements StateStore.
+// Recover rebuilds the durable state — newest valid checkpoint plus the
+// replayed WAL tail — as a live counter with the store's persisted
+// replication identity restored. Returns (nil, nil) when the store holds
+// no state yet.
 func (s *FileStore) Recover(scheme mining.CounterScheme, shards int) (*mining.ShardedCounter, error) {
 	counter, err := s.recover(scheme, shards)
 	if s.obs != nil {
@@ -319,9 +330,9 @@ func (s *FileStore) replaySegment(counter *mining.ShardedCounter, seq uint64, rs
 	}
 }
 
-// Attach implements StateStore: it writes a boot checkpoint of the
-// counter's current state (recovered or empty) and rotates onto a fresh
-// WAL segment.
+// Attach binds the live counter the store will log: it writes a boot
+// checkpoint of the counter's current state (recovered or empty) and
+// rotates onto a fresh WAL segment.
 func (s *FileStore) Attach(counter *mining.ShardedCounter) error {
 	if counter == nil {
 		return fmt.Errorf("%w: nil counter", ErrStore)
@@ -337,8 +348,9 @@ func (s *FileStore) Attach(counter *mining.ShardedCounter) error {
 	return nil
 }
 
-// Append implements StateStore: one DeltaSince pull chained onto the
-// last appended token, framed into the current WAL segment. When the
+// Append flushes the counter's changes since the last append into the
+// WAL (a no-op when nothing changed): one DeltaSince pull chained onto
+// the last appended token, framed into the current WAL segment. When the
 // counter no longer retains the chain token (trimmed by many interleaved
 // replication pullers, or a journal dropped for outgrowing its budget),
 // the delta comes back FULL — then the store compacts instead of
@@ -386,7 +398,8 @@ func (s *FileStore) append() (appended, records int, fsyncDur time.Duration, err
 	return buf.Len(), d.Records, fsyncDur, nil
 }
 
-// Checkpoint implements StateStore.
+// Checkpoint compacts: writes the counter's full current state as a new
+// checkpoint, rotates the WAL, and prunes obsolete files.
 func (s *FileStore) Checkpoint() error {
 	if err := s.attached(); err != nil {
 		return err
@@ -533,10 +546,12 @@ func (s *FileStore) prune(keepFrom uint64) {
 	}
 }
 
-// SinceCheckpoint implements StateStore.
+// SinceCheckpoint reports how many records the WAL has accumulated
+// since the last checkpoint — the service's checkpoint trigger.
 func (s *FileStore) SinceCheckpoint() int { return s.sinceCkpt }
 
-// Close implements StateStore. Idempotent.
+// Close releases the store. It does not flush: callers Append (and
+// usually Checkpoint) first on the graceful path. Idempotent.
 func (s *FileStore) Close() error {
 	if s.closed {
 		return nil

@@ -142,8 +142,14 @@ func TestFileStoreRoundTripAllSchemes(t *testing.T) {
 			if err := st.Append(); err != nil {
 				t.Fatal(err)
 			}
+			if st.SinceCheckpoint() != 80 {
+				t.Fatalf("SinceCheckpoint = %d, want 80", st.SinceCheckpoint())
+			}
 			if err := st.Checkpoint(); err != nil {
 				t.Fatal(err)
+			}
+			if st.SinceCheckpoint() != 0 {
+				t.Fatalf("SinceCheckpoint after checkpoint = %d, want 0", st.SinceCheckpoint())
 			}
 			addAll(t, counter, recs[80:])
 			if err := st.Append(); err != nil {
@@ -476,48 +482,6 @@ func TestFileStoreEvictedBaselineForcesCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	recovered, err := st2.Recover(scheme, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	countersMatch(t, referenceCounter(t, scheme, recs), recovered)
-}
-
-// TestMemStoreRoundTrip proves the second StateStore implementation
-// honors the same contract: recover-nothing when empty, checkpoint +
-// WAL replay, and reuse across a simulated crash.
-func TestMemStoreRoundTrip(t *testing.T) {
-	scheme := testScheme(t, mining.SchemeCutPaste)
-	recs := testRecords(t, 70, 31)
-	st := NewMemStore()
-	if c, err := st.Recover(scheme, 1); err != nil || c != nil {
-		t.Fatalf("empty MemStore Recover = (%v, %v)", c, err)
-	}
-	counter, err := mining.NewShardedCounter(scheme, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Attach(counter); err != nil {
-		t.Fatal(err)
-	}
-	addAll(t, counter, recs[:30])
-	if err := st.Append(); err != nil {
-		t.Fatal(err)
-	}
-	if st.SinceCheckpoint() != 30 {
-		t.Fatalf("SinceCheckpoint = %d, want 30", st.SinceCheckpoint())
-	}
-	if err := st.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if st.SinceCheckpoint() != 0 {
-		t.Fatalf("SinceCheckpoint after checkpoint = %d, want 0", st.SinceCheckpoint())
-	}
-	addAll(t, counter, recs[30:])
-	if err := st.Append(); err != nil {
-		t.Fatal(err)
-	}
-	// Crash: abandon the counter, recover a successor from the store.
-	recovered, err := st.Recover(scheme, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
