@@ -4,20 +4,13 @@
 //
 // Usage:
 //
-//	frapp-bench [-exp all|table1|table2|table3|fig1|fig2|fig3|fig4|params|live]
-//	            [-quick] [-census-n N] [-health-n N] [-seed S]
-//	            [-minsup F] [-steps K] [-json results.json]
-//	            [-ops-addr 127.0.0.1:9091]
+//	frapp-bench [-exp all|<name>] [-quick] [-census-n N] [-health-n N]
+//	            [-seed S] [-minsup F] [-steps K] [-trials T]
+//	            [-json results.json] [-ops-addr 127.0.0.1:9091]
 //
-// -exp live benchmarks the LIVE counter stack (the collection service's
-// substrate) across every perturbation scheme — gamma, MASK, and
-// cut-and-paste: ingest throughput, snapshot+Apriori mining latency,
-// and query-estimate latency, each emitted into the -json report with a
-// "scheme" dimension so BENCH_smoke.json tracks per-scheme throughput
-// across commits.
-//
-// Each experiment prints a text rendering of the corresponding paper
-// artifact. -quick shrinks the datasets for a fast smoke run.
+// frapp-bench -h lists the experiment names. Each experiment prints a
+// text rendering of the corresponding paper artifact or extension
+// study. -quick shrinks the datasets for a fast smoke run.
 //
 // With -json, a machine-readable run report is additionally written to
 // the given path: the effective configuration plus one record per
@@ -27,36 +20,25 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math/bits"
-	"math/rand"
-	"net/http"
-	"net/http/httptest"
 	"os"
-	"runtime"
+	"strings"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/experiment"
-	"repro/internal/mining"
-	"repro/internal/service"
 	"repro/internal/telemetry"
 )
 
 // benchRecord is one measurement in the -json report.
 type benchRecord struct {
-	Experiment string `json:"experiment"`
-	// Scheme is the perturbation-scheme dimension of live-counter
-	// measurements (gamma, mask, cutpaste); empty for scheme-free
-	// experiments.
-	Scheme string  `json:"scheme,omitempty"`
-	Metric string  `json:"metric"`
-	Value  float64 `json:"value"`
-	Unit   string  `json:"unit,omitempty"`
+	Experiment string  `json:"experiment"`
+	Metric     string  `json:"metric"`
+	Value      float64 `json:"value"`
+	Unit       string  `json:"unit,omitempty"`
 	// NsPerOp is set for timing metrics: nanoseconds for one run of the
 	// experiment at this configuration.
 	NsPerOp float64 `json:"ns_per_op,omitempty"`
@@ -103,16 +85,6 @@ func (r *recorder) value(experiment, metric string, v float64, unit string) {
 	r.results = append(r.results, benchRecord{Experiment: experiment, Metric: metric, Value: v, Unit: unit})
 }
 
-// schemeRecord is one measurement of the per-scheme live-counter bench.
-func (r *recorder) schemeRecord(experiment, scheme, metric string, v float64, unit string, nsPerOp float64) {
-	if r == nil {
-		return
-	}
-	r.results = append(r.results, benchRecord{
-		Experiment: experiment, Scheme: scheme, Metric: metric, Value: v, Unit: unit, NsPerOp: nsPerOp,
-	})
-}
-
 // write renders the report atomically enough for CI consumption (one
 // final write, no partial sections).
 func (r *recorder) write(path string, cfg benchConfig) error {
@@ -127,9 +99,128 @@ func (r *recorder) write(path string, cfg benchConfig) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
+// env is what an experiment body reads: the configuration, the derived
+// gamma, the -steps and -trials knobs and the loaded dataset bundles.
+type env struct {
+	cfg            experiment.Config
+	gamma          float64
+	steps, trials  int
+	census, health *experiment.Bundle
+}
+
+// experimentSpec is one -exp value. census and health say which
+// dataset bundles its body reads; run loads only those that the
+// selected experiments need.
+type experimentSpec struct {
+	name, title    string
+	census, health bool
+	body           func(e *env) error
+}
+
+// experiments lists every -exp value but "all", in the order -exp all
+// runs them. The section title is also the experiment name of the
+// section's -json timing record.
+var experiments = []experimentSpec{
+	{name: "table1", title: "Table 1 — CENSUS schema", body: func(*env) error {
+		fmt.Print(experiment.Table1())
+		return nil
+	}},
+	{name: "table2", title: "Table 2 — HEALTH schema", body: func(*env) error {
+		fmt.Print(experiment.Table2())
+		return nil
+	}},
+	{name: "table3", title: "Table 3 — frequent itemsets", census: true, health: true, body: func(e *env) error {
+		fmt.Print(experiment.Table3(e.census, e.health, e.cfg))
+		return nil
+	}},
+	{name: "params", title: "Derived scheme parameters", body: func(e *env) error {
+		return printParams(e.cfg, e.gamma)
+	}},
+	{name: "fig1", title: "Figure 1 — CENSUS accuracy", census: true, body: func(e *env) error {
+		return accuracy(e, e.census)
+	}},
+	{name: "fig2", title: "Figure 2 — HEALTH accuracy", health: true, body: func(e *env) error {
+		return accuracy(e, e.health)
+	}},
+	{name: "fig3", title: "Figure 3 — randomization tradeoff", census: true, health: true, body: func(e *env) error {
+		for _, b := range []*experiment.Bundle{e.census, e.health} {
+			target := 4
+			if b.MaxLen() < target {
+				target = b.MaxLen()
+			}
+			fig, err := experiment.RandomizationStudy(b, e.cfg, e.steps, target)
+			if err != nil {
+				return err
+			}
+			fmt.Print(fig)
+			fmt.Println()
+		}
+		return nil
+	}},
+	{name: "recon", title: "Theorem 1 — reconstruction error study (CENSUS)", census: true, body: func(e *env) error {
+		pts, err := experiment.ReconstructionStudy(e.census, e.cfg, 5)
+		if err != nil {
+			return err
+		}
+		fmt.Print(experiment.FormatReconstruction("CENSUS", pts))
+		return nil
+	}},
+	{name: "classify", title: "Extension — privacy-preserving Naive Bayes (HEALTH)", health: true, body: func(e *env) error {
+		res, err := experiment.ClassifyStudy(e.health, e.cfg, e.health.DB.Schema.M()-1)
+		if err != nil {
+			return err
+		}
+		fmt.Print(res)
+		return nil
+	}},
+	{name: "gammasweep", title: "Extension — DET-GD accuracy vs privacy level (CENSUS)", census: true, body: func(e *env) error {
+		specs := []core.PrivacySpec{
+			{Rho1: 0.05, Rho2: 0.30},
+			{Rho1: 0.05, Rho2: 0.50}, // the paper's setting
+			{Rho1: 0.05, Rho2: 0.70},
+			{Rho1: 0.05, Rho2: 0.90},
+		}
+		pts, err := experiment.GammaSweepStudy(e.census, e.cfg, specs)
+		if err != nil {
+			return err
+		}
+		fmt.Print(experiment.FormatGammaSweep("CENSUS", pts))
+		return nil
+	}},
+	{name: "relax", title: "Extension — Apriori candidate-relaxation ablation (CENSUS)", census: true, body: func(e *env) error {
+		pts, err := experiment.RelaxationStudy(e.census, e.cfg, []float64{1.0, 0.8, 0.6, 0.4})
+		if err != nil {
+			return err
+		}
+		fmt.Print(experiment.FormatRelaxation("CENSUS", pts))
+		return nil
+	}},
+	{name: "fig4", title: "Figure 4 — condition numbers", census: true, health: true, body: func(e *env) error {
+		for _, b := range []*experiment.Bundle{e.census, e.health} {
+			fig, err := experiment.ConditionStudy(b, e.cfg, b.DB.Schema.M())
+			if err != nil {
+				return err
+			}
+			fmt.Print(fig)
+			fmt.Println()
+		}
+		return nil
+	}},
+}
+
+// expValues is the -exp vocabulary: "all" followed by every
+// experiment name.
+func expValues() string {
+	names := []string{"all"}
+	for _, x := range experiments {
+		names = append(names, x.name)
+	}
+	return strings.Join(names, ", ")
+}
+
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment to run: all, table1, table2, table3, fig1, fig2, fig3, fig4, params, recon, classify, relax, gammasweep, live")
+		exp      = flag.String("exp", "all", "experiment to run: "+expValues())
 		quick    = flag.Bool("quick", false, "use reduced dataset sizes for a fast smoke run")
 		censusN  = flag.Int("census-n", 0, "override CENSUS record count (default 50000, 8000 with -quick)")
 		healthN  = flag.Int("health-n", 0, "override HEALTH record count (default 100000, 8000 with -quick)")
@@ -179,6 +270,18 @@ func run(exp string, cfg experiment.Config, steps, trials int, jsonPath string) 
 	if err != nil {
 		return err
 	}
+	var selected []experimentSpec
+	needCensus, needHealth := false, false
+	for _, x := range experiments {
+		if exp == "all" || exp == x.name {
+			selected = append(selected, x)
+			needCensus = needCensus || x.census
+			needHealth = needHealth || x.health
+		}
+	}
+	if len(selected) == 0 {
+		return fmt.Errorf("unknown experiment %q (want one of: %s)", exp, expValues())
+	}
 	var rec *recorder
 	if jsonPath != "" {
 		rec = &recorder{}
@@ -186,194 +289,37 @@ func run(exp string, cfg experiment.Config, steps, trials int, jsonPath string) 
 	fmt.Printf("FRAPP evaluation — (rho1,rho2)=(%.0f%%,%.0f%%) gamma=%.4g supmin=%.2g census-n=%d health-n=%d seed=%d\n\n",
 		cfg.Privacy.Rho1*100, cfg.Privacy.Rho2*100, gamma, cfg.MinSupport, cfg.CensusN, cfg.HealthN, cfg.Seed)
 
-	needCensus := exp == "all" || exp == "table3" || exp == "fig1" || exp == "fig3" || exp == "fig4" || exp == "recon" || exp == "relax" || exp == "gammasweep"
-	needHealth := exp == "all" || exp == "table3" || exp == "fig2" || exp == "fig3" || exp == "fig4" || exp == "classify"
-
-	var census, health *experiment.Bundle
+	e := &env{cfg: cfg, gamma: gamma, steps: steps, trials: trials}
 	if needCensus {
 		t0 := time.Now()
-		census, err = experiment.LoadCensus(cfg)
+		e.census, err = experiment.LoadCensus(cfg)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("[prep] CENSUS: %d records, truth %v (%s)\n", census.DB.N(), census.Truth.Counts(), time.Since(t0).Round(time.Millisecond))
+		fmt.Printf("[prep] CENSUS: %d records, truth %v (%s)\n", e.census.DB.N(), e.census.Truth.Counts(), time.Since(t0).Round(time.Millisecond))
 		rec.timing("prep_census", time.Since(t0))
-		rec.value("prep_census", "records", float64(census.DB.N()), "records")
+		rec.value("prep_census", "records", float64(e.census.DB.N()), "records")
 	}
 	if needHealth {
 		t0 := time.Now()
-		health, err = experiment.LoadHealth(cfg)
+		e.health, err = experiment.LoadHealth(cfg)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("[prep] HEALTH: %d records, truth %v (%s)\n", health.DB.N(), health.Truth.Counts(), time.Since(t0).Round(time.Millisecond))
+		fmt.Printf("[prep] HEALTH: %d records, truth %v (%s)\n", e.health.DB.N(), e.health.Truth.Counts(), time.Since(t0).Round(time.Millisecond))
 		rec.timing("prep_health", time.Since(t0))
-		rec.value("prep_health", "records", float64(health.DB.N()), "records")
+		rec.value("prep_health", "records", float64(e.health.DB.N()), "records")
 	}
 	fmt.Println()
 
-	section := func(name string, f func() error) error {
+	for _, x := range selected {
 		t0 := time.Now()
-		fmt.Printf("==== %s ====\n", name)
-		if err := f(); err != nil {
-			return fmt.Errorf("%s: %w", name, err)
+		fmt.Printf("==== %s ====\n", x.title)
+		if err := x.body(e); err != nil {
+			return fmt.Errorf("%s: %w", x.title, err)
 		}
 		fmt.Printf("(%s)\n\n", time.Since(t0).Round(time.Millisecond))
-		rec.timing(name, time.Since(t0))
-		return nil
-	}
-
-	want := func(name string) bool { return exp == "all" || exp == name }
-
-	if want("table1") {
-		if err := section("Table 1 — CENSUS schema", func() error {
-			fmt.Print(experiment.Table1())
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if want("table2") {
-		if err := section("Table 2 — HEALTH schema", func() error {
-			fmt.Print(experiment.Table2())
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if want("table3") {
-		if err := section("Table 3 — frequent itemsets", func() error {
-			fmt.Print(experiment.Table3(census, health, cfg))
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if want("params") {
-		if err := section("Derived scheme parameters", func() error { return printParams(cfg, gamma) }); err != nil {
-			return err
-		}
-	}
-	accuracy := func(b *experiment.Bundle) error {
-		if trials > 1 {
-			fig, err := experiment.AveragedAccuracyStudy(b, cfg, trials)
-			if err != nil {
-				return err
-			}
-			fmt.Print(fig)
-			return nil
-		}
-		fig, err := experiment.AccuracyStudy(b, cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(fig)
-		return nil
-	}
-	if want("fig1") {
-		if err := section("Figure 1 — CENSUS accuracy", func() error { return accuracy(census) }); err != nil {
-			return err
-		}
-	}
-	if want("fig2") {
-		if err := section("Figure 2 — HEALTH accuracy", func() error { return accuracy(health) }); err != nil {
-			return err
-		}
-	}
-	if want("fig3") {
-		if err := section("Figure 3 — randomization tradeoff", func() error {
-			for _, b := range []*experiment.Bundle{census, health} {
-				target := 4
-				if b.MaxLen() < target {
-					target = b.MaxLen()
-				}
-				fig, err := experiment.RandomizationStudy(b, cfg, steps, target)
-				if err != nil {
-					return err
-				}
-				fmt.Print(fig)
-				fmt.Println()
-			}
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if want("recon") {
-		if err := section("Theorem 1 — reconstruction error study (CENSUS)", func() error {
-			pts, err := experiment.ReconstructionStudy(census, cfg, 5)
-			if err != nil {
-				return err
-			}
-			fmt.Print(experiment.FormatReconstruction("CENSUS", pts))
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if want("classify") {
-		if err := section("Extension — privacy-preserving Naive Bayes (HEALTH)", func() error {
-			res, err := experiment.ClassifyStudy(health, cfg, health.DB.Schema.M()-1)
-			if err != nil {
-				return err
-			}
-			fmt.Print(res)
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if want("gammasweep") {
-		if err := section("Extension — DET-GD accuracy vs privacy level (CENSUS)", func() error {
-			specs := []core.PrivacySpec{
-				{Rho1: 0.05, Rho2: 0.30},
-				{Rho1: 0.05, Rho2: 0.50}, // the paper's setting
-				{Rho1: 0.05, Rho2: 0.70},
-				{Rho1: 0.05, Rho2: 0.90},
-			}
-			pts, err := experiment.GammaSweepStudy(census, cfg, specs)
-			if err != nil {
-				return err
-			}
-			fmt.Print(experiment.FormatGammaSweep("CENSUS", pts))
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if want("relax") {
-		if err := section("Extension — Apriori candidate-relaxation ablation (CENSUS)", func() error {
-			pts, err := experiment.RelaxationStudy(census, cfg, []float64{1.0, 0.8, 0.6, 0.4})
-			if err != nil {
-				return err
-			}
-			fmt.Print(experiment.FormatRelaxation("CENSUS", pts))
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if want("live") {
-		if err := section("Live counters — per-scheme ingest/mine/query throughput", func() error {
-			return liveBench(cfg, gamma, rec)
-		}); err != nil {
-			return err
-		}
-	}
-	if want("fig4") {
-		if err := section("Figure 4 — condition numbers", func() error {
-			for _, b := range []*experiment.Bundle{census, health} {
-				fig, err := experiment.ConditionStudy(b, cfg, b.DB.Schema.M())
-				if err != nil {
-					return err
-				}
-				fmt.Print(fig)
-				fmt.Println()
-			}
-			return nil
-		}); err != nil {
-			return err
-		}
+		rec.timing(x.title, time.Since(t0))
 	}
 	if jsonPath != "" {
 		if err := rec.write(jsonPath, benchConfig{
@@ -388,224 +334,23 @@ func run(exp string, cfg experiment.Config, steps, trials int, jsonPath string) 
 	return nil
 }
 
-// liveBench measures the scheme-polymorphic live counter stack — the
-// exact substrate frapp-server runs per -scheme — on a CENSUS-sized
-// workload: ingest (records/s through a sharded counter), mine
-// (snapshot + Apriori wall time), and query (a 32-filter estimate
-// batch). One row and one set of -json records per scheme.
-func liveBench(cfg experiment.Config, gamma float64, rec *recorder) error {
-	schema := dataset.CensusSchema()
-	n := cfg.CensusN / 4
-	if n < 1000 {
-		n = 1000
+// accuracy prints the Figure 1/2 accuracy study of b, averaged over
+// e.trials perturbation trials when that is more than one.
+func accuracy(e *env, b *experiment.Bundle) error {
+	if e.trials > 1 {
+		fig, err := experiment.AveragedAccuracyStudy(b, e.cfg, e.trials)
+		if err != nil {
+			return err
+		}
+		fmt.Print(fig)
+		return nil
 	}
-	db, err := dataset.GenerateCensus(n, cfg.Seed)
+	fig, err := experiment.AccuracyStudy(b, e.cfg)
 	if err != nil {
 		return err
 	}
-	// A 32-filter query batch over arities 1..2.
-	var filters []mining.Itemset
-	for a := 0; a < schema.M() && len(filters) < 16; a++ {
-		for v := 0; v < schema.Attrs[a].Cardinality() && len(filters) < 16; v += 2 {
-			filters = append(filters, mining.Itemset{{Attr: a, Value: v}})
-		}
-	}
-	for a := 0; a+1 < schema.M() && len(filters) < 32; a++ {
-		filters = append(filters, mining.Itemset{{Attr: a, Value: 0}, {Attr: a + 1, Value: 1}})
-	}
-
-	for _, name := range mining.SchemeNames() {
-		scheme, err := mining.SchemeForContract(name, schema, gamma)
-		if err != nil {
-			return err
-		}
-		records, err := perturbForScheme(scheme, db, cfg.Seed)
-		if err != nil {
-			return err
-		}
-		counter, err := mining.NewShardedCounter(scheme, 0)
-		if err != nil {
-			return err
-		}
-
-		t0 := time.Now()
-		for _, items := range records {
-			if err := counter.Ingest(items); err != nil {
-				return err
-			}
-		}
-		ingest := time.Since(t0)
-
-		t0 = time.Now()
-		snap, _ := counter.SnapshotVersioned()
-		if _, err := mining.Apriori(snap, cfg.MinSupport); err != nil {
-			return err
-		}
-		mine := time.Since(t0)
-
-		t0 = time.Now()
-		const queryReps = 20
-		for i := 0; i < queryReps; i++ {
-			if _, _, err := counter.Estimates(filters); err != nil {
-				return err
-			}
-		}
-		query := time.Since(t0) / queryReps
-
-		ingestNs := float64(ingest.Nanoseconds()) / float64(len(records))
-		fmt.Printf("%-9s ingest %8.0f rec/s (%6.0f ns/rec)   mine %8s   query(32 filters) %8s\n",
-			name, float64(len(records))/ingest.Seconds(), ingestNs, mine.Round(time.Microsecond), query.Round(time.Microsecond))
-		rec.schemeRecord("live_ingest", name, "ns_per_record", ingestNs, "ns", ingestNs)
-		rec.schemeRecord("live_mine", name, "wall_time", float64(mine.Nanoseconds()), "ns", float64(mine.Nanoseconds()))
-		rec.schemeRecord("live_query_batch32", name, "wall_time", float64(query.Nanoseconds()), "ns", float64(query.Nanoseconds()))
-
-		if err := liveBatchIngest(name, cfg, db, rec); err != nil {
-			return err
-		}
-	}
+	fmt.Print(fig)
 	return nil
-}
-
-// liveBatchIngest measures the batched submit-batch ingest path end to
-// end through the HTTP handler stack — decode + IngestBatch + response
-// — for both wire forms, on one scheme. Requests are driven straight
-// into the handler (no socket) so the numbers isolate the server-side
-// cost: records/sec and heap allocations per record, the two figures
-// the binary form exists to improve.
-func liveBatchIngest(name string, cfg experiment.Config, db *dataset.Database, rec *recorder) error {
-	srv, err := service.NewServer(db.Schema, cfg.Privacy, service.WithScheme(name))
-	if err != nil {
-		return err
-	}
-	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	client, err := service.NewClient(ts.URL, service.WithHTTPClient(ts.Client()))
-	if err != nil {
-		return err
-	}
-	handler := srv.Handler()
-	const batchSize = 256
-	rates := map[string]float64{}
-	for _, wire := range []string{service.WireJSON, service.WireBinary} {
-		var batches []*service.PreparedBatch
-		for lo := 0; lo < len(db.Records); lo += batchSize {
-			hi := lo + batchSize
-			if hi > len(db.Records) {
-				hi = len(db.Records)
-			}
-			p, err := client.PrepareBatchWire(db.Records[lo:hi], rand.New(rand.NewSource(cfg.Seed+int64(lo))), wire)
-			if err != nil {
-				return err
-			}
-			batches = append(batches, p)
-		}
-		// One warm pass primes the decode pool and the counter, so the
-		// measured pass sees steady state.
-		serve := func() (int, error) {
-			total := 0
-			for _, p := range batches {
-				req := httptest.NewRequest(http.MethodPost, "/v1/submit-batch", bytes.NewReader(p.Body()))
-				req.Header.Set("Content-Type", p.ContentType())
-				if fp := p.Fingerprint(); fp != "" {
-					req.Header.Set(service.FingerprintHeader, fp)
-				}
-				w := httptest.NewRecorder()
-				handler.ServeHTTP(w, req)
-				if w.Code != http.StatusAccepted {
-					return 0, fmt.Errorf("live batch ingest (%s, %s): status %d: %s", name, wire, w.Code, w.Body.String())
-				}
-				total += p.Len()
-			}
-			return total, nil
-		}
-		if _, err := serve(); err != nil {
-			return err
-		}
-		var ms0, ms1 runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&ms0)
-		t0 := time.Now()
-		total, err := serve()
-		if err != nil {
-			return err
-		}
-		elapsed := time.Since(t0)
-		runtime.ReadMemStats(&ms1)
-		allocsPerRec := float64(ms1.Mallocs-ms0.Mallocs) / float64(total)
-		rps := float64(total) / elapsed.Seconds()
-		nsPerRec := float64(elapsed.Nanoseconds()) / float64(total)
-		rates[wire] = rps
-		fmt.Printf("%-9s batch-ingest[%-6s] %9.0f rec/s (%6.0f ns/rec, %5.1f allocs/rec)\n",
-			name, wire, rps, nsPerRec, allocsPerRec)
-		exp := "live_batch_ingest_" + wire
-		rec.schemeRecord(exp, name, "records_per_sec", rps, "rec/s", nsPerRec)
-		rec.schemeRecord(exp, name, "allocs_per_record", allocsPerRec, "allocs", 0)
-	}
-	fmt.Printf("%-9s batch-ingest speedup binary/json: %.1fx\n", name, rates[service.WireBinary]/rates[service.WireJSON])
-	return nil
-}
-
-// perturbForScheme perturbs the database client-side under the scheme's
-// contract and renders each perturbed record as the item list the live
-// counter ingests.
-func perturbForScheme(scheme mining.CounterScheme, db *dataset.Database, seed int64) ([][]mining.Item, error) {
-	rng := rand.New(rand.NewSource(seed))
-	schema := db.Schema
-	switch sc := scheme.(type) {
-	case *mining.GammaScheme:
-		p, err := core.NewGammaPerturber(schema, sc.Matrix())
-		if err != nil {
-			return nil, err
-		}
-		pdb, err := core.PerturbDatabase(db, p, rng)
-		if err != nil {
-			return nil, err
-		}
-		out := make([][]mining.Item, pdb.N())
-		for i, rec := range pdb.Records {
-			items := make([]mining.Item, len(rec))
-			for j, v := range rec {
-				items[j] = mining.Item{Attr: j, Value: v}
-			}
-			out[i] = items
-		}
-		return out, nil
-	case *mining.MaskCounterScheme:
-		bdb, err := sc.Mask().PerturbDatabase(db, rng)
-		if err != nil {
-			return nil, err
-		}
-		return rowsToItems(sc.Mask().Mapping, bdb.Rows), nil
-	case *mining.CutPasteCounterScheme:
-		bdb, err := sc.CutPaste().PerturbDatabase(db, rng)
-		if err != nil {
-			return nil, err
-		}
-		return rowsToItems(sc.CutPaste().Mapping, bdb.Rows), nil
-	default:
-		return nil, fmt.Errorf("unknown scheme %q", scheme.Name())
-	}
-}
-
-// rowsToItems converts perturbed boolean rows into ingestable item
-// lists.
-func rowsToItems(m *core.BoolMapping, rows []uint64) [][]mining.Item {
-	out := make([][]mining.Item, len(rows))
-	for i, row := range rows {
-		var items []mining.Item
-		for b := row; b != 0; b &= b - 1 {
-			bit := bits.TrailingZeros64(b)
-			for j := m.Schema.M() - 1; j >= 0; j-- {
-				if bit >= m.Offsets[j] {
-					items = append(items, mining.Item{Attr: j, Value: bit - m.Offsets[j]})
-					break
-				}
-			}
-		}
-		out[i] = items
-	}
-	return out
 }
 
 func printParams(cfg experiment.Config, gamma float64) error {

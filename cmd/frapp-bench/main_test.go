@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/experiment"
@@ -107,5 +109,67 @@ func TestRunJSONReportUnwritablePath(t *testing.T) {
 	cfg := experiment.QuickConfig()
 	if err := run("table1", cfg, 3, 1, filepath.Join(t.TempDir(), "missing-dir", "bench.json")); err == nil {
 		t.Fatal("unwritable -json path accepted")
+	}
+}
+
+// TestRunRejectsUnknownExperiment: an unknown or retired -exp value is
+// an error naming the valid experiments, raised before any report is
+// written.
+func TestRunRejectsUnknownExperiment(t *testing.T) {
+	silenceStdout(t)
+	cfg := experiment.QuickConfig()
+	for _, exp := range []string{"bogus", "live"} {
+		path := filepath.Join(t.TempDir(), "bench.json")
+		err := run(exp, cfg, 3, 1, path)
+		if err == nil {
+			t.Fatalf("-exp %s accepted", exp)
+		}
+		if !strings.Contains(err.Error(), "table3") {
+			t.Fatalf("-exp %s: error %q does not name the valid experiments", exp, err)
+		}
+		if _, statErr := os.Stat(path); !os.IsNotExist(statErr) {
+			t.Fatalf("-exp %s wrote a report (stat: %v)", exp, statErr)
+		}
+	}
+}
+
+// TestRunAllExperimentsWiring runs every experiment on small datasets,
+// each on its own as well: under -exp all another entry may load the
+// bundle that an entry reads without declaring it. The -json report of
+// -exp all holds one timing record per experiment plus the two dataset
+// preparations.
+func TestRunAllExperimentsWiring(t *testing.T) {
+	silenceStdout(t)
+	cfg := experiment.QuickConfig()
+	cfg.CensusN, cfg.HealthN = 1000, 1000
+	for _, x := range experiments {
+		if err := run(x.name, cfg, 2, 1, ""); err != nil {
+			t.Fatalf("%s: %v", x.name, err)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "bench.json")
+	if err := run("all", cfg, 2, 1, path); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var report benchReport
+	if err := json.Unmarshal(data, &report); err != nil {
+		t.Fatalf("report is not valid JSON: %v", err)
+	}
+	want := []string{"prep_census", "prep_health"}
+	for _, x := range experiments {
+		want = append(want, x.title)
+	}
+	var got []string
+	for _, r := range report.Results {
+		if r.Metric == "wall_time" {
+			got = append(got, r.Experiment)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("timing records %q, want %q", got, want)
 	}
 }

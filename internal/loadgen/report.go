@@ -9,14 +9,15 @@ import (
 	"time"
 )
 
-// BENCH_load.json shares the frapp-bench -json record shape — a config
-// block plus a flat list of {experiment, metric, value, unit, ns_per_op}
-// records — so the perf-trajectory tooling reads both artifacts the
-// same way. Endpoint classes are encoded in the experiment name
-// (load_submit, load_query, load_mine, load_total).
+// BENCH_load.json uses frapp-bench's -json record shape plus a scheme
+// field — a config block plus a flat list of {experiment, scheme,
+// metric, value, unit, ns_per_op} records — so the perf-trajectory
+// tooling reads both artifacts the same way. Endpoint classes are
+// encoded in the experiment name (load_submit, load_query, load_mine,
+// load_total).
 
-// ReportRecord is one measurement, field-compatible with frapp-bench's
-// benchRecord.
+// ReportRecord is one measurement: frapp-bench's benchRecord plus
+// Scheme.
 type ReportRecord struct {
 	Experiment string  `json:"experiment"`
 	Scheme     string  `json:"scheme,omitempty"`
