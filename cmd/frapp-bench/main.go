@@ -229,7 +229,7 @@ func main() {
 		steps    = flag.Int("steps", 11, "number of alpha sweep steps for fig3")
 		trials   = flag.Int("trials", 1, "if > 1, average fig1/fig2 over this many perturbation trials (mean±std)")
 		jsonPath = flag.String("json", "", "write a machine-readable run report to this path")
-		opsAddr  = flag.String("ops-addr", "", "serve pprof/metrics/health on this address during the run (empty = off; bind localhost in production)")
+		opsAddr  = flag.String("ops-addr", "", "serve pprof, /healthz and /readyz on this address during the run (empty = off; bind localhost in production)")
 	)
 	flag.Parse()
 
@@ -240,7 +240,7 @@ func main() {
 			os.Exit(1)
 		}
 		defer ops.Close()
-		fmt.Fprintf(os.Stderr, "ops listener (pprof, /metrics) on http://%s\n", ops.Addr)
+		fmt.Fprintf(os.Stderr, "ops listener (pprof, /healthz, /readyz) on http://%s\n", ops.Addr)
 	}
 
 	cfg := experiment.DefaultConfig()

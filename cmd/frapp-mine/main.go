@@ -13,7 +13,7 @@
 // exactly as the paper's miner does.
 //
 // -ops-addr binds an operational sidecar listener (net/http/pprof,
-// /metrics, /healthz) for profiling long mining runs; bind it to
+// /healthz, /readyz) for profiling long mining runs; bind it to
 // localhost (see docs/observability.md).
 package main
 
@@ -39,7 +39,7 @@ func main() {
 		rules      = flag.Float64("rules", 0, "if > 0, also generate association rules at this confidence")
 		top        = flag.Int("top", 20, "how many itemsets/rules to print per section")
 		condensed  = flag.Bool("condensed", false, "also report maximal and closed itemset counts")
-		opsAddr    = flag.String("ops-addr", "", "serve pprof/metrics/health on this address while mining (empty = off; bind localhost in production)")
+		opsAddr    = flag.String("ops-addr", "", "serve pprof, /healthz and /readyz on this address while mining (empty = off; bind localhost in production)")
 	)
 	flag.Parse()
 	if *opsAddr != "" {
@@ -49,7 +49,7 @@ func main() {
 			os.Exit(1)
 		}
 		defer ops.Close()
-		fmt.Fprintf(os.Stderr, "ops listener (pprof, /metrics) on http://%s\n", ops.Addr)
+		fmt.Fprintf(os.Stderr, "ops listener (pprof, /healthz, /readyz) on http://%s\n", ops.Addr)
 	}
 	if err := run(*schemaName, *in, *minsup, *mode, *rho1, *rho2, *rules, *top, *condensed); err != nil {
 		fmt.Fprintln(os.Stderr, "frapp-mine:", err)

@@ -45,7 +45,8 @@
 // standard net/http/pprof endpoints. It exposes only aggregate
 // operational data, but bind it to localhost in production anyway — see
 // docs/observability.md for the metric catalog. -access-log emits one
-// structured JSON line per API request to stderr at -log-level.
+// structured JSON line per API request to stderr at info level, so
+// -log-level warn or error silences it.
 //
 // -scheme selects the perturbation scheme the whole stack runs under:
 // gamma (default — the paper's optimal gamma-diagonal matrix), mask, or
@@ -100,6 +101,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
@@ -253,13 +255,13 @@ func run(ctx context.Context, cfg serverConfig) error {
 		service.WithMaxBody(cfg.maxBody),
 		service.WithTelemetry(reg),
 	}
-	var accessLogger *telemetry.Logger
+	var accessLogger *slog.Logger
 	if cfg.accessLog {
 		lvl, err := telemetry.ParseLevel(cfg.logLevel)
 		if err != nil {
 			return err
 		}
-		accessLogger = telemetry.NewLogger(os.Stderr, lvl)
+		accessLogger = telemetry.NewAccessLogger(os.Stderr, lvl)
 		opts = append(opts, service.WithAccessLog(accessLogger))
 	}
 	if windowed {

@@ -278,7 +278,7 @@ func (c *ShardedCounter) DeltaSince(since uint64) (*CounterDelta, error) {
 // and the cut covers it, full when the cut read the joint histogram, nil
 // otherwise. Called with repMu held.
 func (c *ShardedCounter) deltaLocked(since uint64, read cutRead) (*CounterDelta, counterCut, *tokenCut) {
-	version := c.version.Load()
+	version := c.Version()
 	cut := c.cutShards(read, c.enableJournal)
 	to := c.mint(version, &cut)
 	d := &CounterDelta{Fingerprint: c.Fingerprint(), Generation: c.deltaEpoch, ToVersion: to.token}

@@ -180,11 +180,11 @@ func LoadLiveCounter(r io.Reader, scheme CounterScheme, shards int) (*ShardedCou
 	}
 	// Resume round-robin routing where the restored population left off
 	// so post-restore submissions keep the shards balanced. The snapshot
-	// version restarts at the restored record count; a state restore
-	// swaps the whole counter object, so callers caching mining results
-	// must also drop entries from the previous counter's version line.
+	// version (the record total) restarts at the restored count; a state
+	// restore swaps the whole counter object, so callers caching mining
+	// results must also drop entries from the previous counter's version
+	// line.
 	c.next.Store(uint64(total))
 	c.total.Store(int64(total))
-	c.version.Store(uint64(total))
 	return c, nil
 }

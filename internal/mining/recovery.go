@@ -75,7 +75,7 @@ func (c *ShardedCounter) Merge(other *ShardedCounter) error {
 
 // apply lands a delta in the next shard in round-robin order, where the
 // core validates it (fingerprint, cell ranges, positivity, record-count
-// sum), and advances the record count and content version by its
+// sum), and advances the record count (the content version) by its
 // records, exactly as if they had been ingested one by one.
 func (c *ShardedCounter) apply(d *CounterDelta) error {
 	shard := c.next.Add(1) % uint64(len(c.shards))
@@ -83,7 +83,6 @@ func (c *ShardedCounter) apply(d *CounterDelta) error {
 		return err
 	}
 	c.total.Add(int64(d.Records))
-	c.version.Add(uint64(d.Records))
 	return nil
 }
 
@@ -213,7 +212,7 @@ func (c *ShardedCounter) RestoreReplicationState(rs ReplicationState) error {
 	c.repMu.Lock()
 	defer c.repMu.Unlock()
 	c.deltaEpoch = rs.Epoch
-	base := max(rs.LastToken, c.version.Load())
+	base := max(rs.LastToken, c.Version())
 	if k := len(rs.Journal); k > 0 {
 		base = max(base, rs.Journal[k-1].Token)
 	}

@@ -37,15 +37,13 @@ type ShardedCounter struct {
 	next   atomic.Uint64
 	// total mirrors the sum of shard record counts so N() — called on
 	// every submit response — stays lock-free instead of sweeping all
-	// shard mutexes.
+	// shard mutexes. It is also the content version (Version): it
+	// advances only after records are fully ingested into their shards,
+	// and state restore initializes it to the restored record count, so
+	// two reads returning the same total bracket an interval in which no
+	// new record became visible — the invariant the service's
+	// mining-result cache is keyed on.
 	total atomic.Int64
-	// version is a monotonic counter-content version: it advances after
-	// every record is fully ingested into its shard, and state restore
-	// initializes it to the restored record count. Two reads returning
-	// the same version therefore bracket an interval in which no new
-	// record became visible — the invariant the service's mining-result
-	// cache is keyed on.
-	version atomic.Uint64
 
 	// Replication state for DeltaSince (see delta.go and journal.go): the
 	// retained tokens, oldest first, each a cut of every shard's change
@@ -145,7 +143,6 @@ func (c *ShardedCounter) Ingest(items []Item) error {
 		return err
 	}
 	c.total.Add(1)
-	c.version.Add(1)
 	if c.obs != nil {
 		c.obs.ObserveIngest(int(shard), 1, 0)
 	}
@@ -163,12 +160,11 @@ func (c *ShardedCounter) Ingest(items []Item) error {
 // shard: a B-record batch over S shards costs min(B, S) lock
 // round-trips instead of B.
 //
-// total and version advance by the batch size only after every
-// partition has landed. A snapshot taken mid-application may already
-// include some of the batch's records — each record is still atomic
-// within its shard, so the snapshot remains a consistent view that is
-// strictly newer than its version, exactly the SnapshotVersioned
-// contract.
+// total advances by the batch size only after every partition has
+// landed. A snapshot taken mid-application may already include some of
+// the batch's records — each record is still atomic within its shard,
+// so the snapshot remains a consistent view that is strictly newer than
+// its version, exactly the SnapshotVersioned contract.
 func (c *ShardedCounter) IngestBatch(records [][]Item) error {
 	n := len(records)
 	if n == 0 {
@@ -203,7 +199,6 @@ func (c *ShardedCounter) IngestBatch(records [][]Item) error {
 		lo += cnt
 	}
 	c.total.Add(int64(n))
-	c.version.Add(uint64(n))
 	return nil
 }
 
@@ -235,13 +230,13 @@ func (c *ShardedCounter) N() int {
 	return int(c.total.Load())
 }
 
-// Version returns the current snapshot version. The version only moves
-// forward, and it moves exactly when counter content changes, so equal
-// versions imply identical counter state (mining results computed at
-// version v remain exact answers for any later read that still observes
-// v).
+// Version returns the current snapshot version: the record total. The
+// version only moves forward, and it moves exactly when counter content
+// changes, so equal versions imply identical counter state (mining
+// results computed at version v remain exact answers for any later read
+// that still observes v).
 func (c *ShardedCounter) Version() uint64 {
-	return c.version.Load()
+	return uint64(c.total.Load())
 }
 
 // Snapshot folds every shard into one frozen SupportCounter. Shards are
@@ -263,14 +258,7 @@ func (c *ShardedCounter) Snapshot() SupportCounter {
 // view, which only makes a cache entry keyed at the returned version
 // fresher than advertised, never staler).
 func (c *ShardedCounter) SnapshotVersioned() (SupportCounter, uint64) {
-	core, version := c.snapshotCore()
-	return core, version
-}
-
-// snapshotCore is SnapshotVersioned returning the concrete core, for
-// package-internal callers (persist, delta) that need core plumbing.
-func (c *ShardedCounter) snapshotCore() (CounterCore, uint64) {
-	version := c.version.Load()
+	version := c.Version()
 	merged := c.scheme.newCore()
 	for _, s := range c.shards {
 		s.foldInto(merged)

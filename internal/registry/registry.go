@@ -29,6 +29,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -269,7 +270,7 @@ type Options struct {
 	Metrics *telemetry.Registry
 	// AccessLog, when set, is shared by every collection's server; each
 	// line carries the collection name.
-	AccessLog *telemetry.Logger
+	AccessLog *slog.Logger
 	// SyncMode is the WAL fsync policy of tenant stores.
 	SyncMode store.SyncMode
 }
@@ -279,7 +280,7 @@ type Registry struct {
 	baseDir string
 	maxCols int
 	metrics *telemetry.Registry
-	access  *telemetry.Logger
+	access  *slog.Logger
 	sync    store.SyncMode
 
 	mu          sync.Mutex

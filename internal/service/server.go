@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"math"
 	"net/http"
 	"strconv"
@@ -131,7 +132,7 @@ type serverConfig struct {
 	checkpointEvery int
 	walFlush        time.Duration
 	metrics         *telemetry.Registry
-	accessLog       *telemetry.Logger
+	accessLog       *slog.Logger
 	collection      string
 	windowBuckets   int
 	windowBucket    time.Duration
@@ -741,9 +742,9 @@ func (s *Server) conditionNumber() float64 {
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	// One load yields a consistent (counter, generation) pair even if a
 	// counter swap lands mid-request. The version is read BEFORE the
-	// record count (Add bumps the count before the version), so the
-	// records >= snapshot_version relation of the query path holds here
-	// too under concurrent ingestion.
+	// record count; a sharded counter's version is its record total,
+	// which only grows, so the records >= snapshot_version relation of
+	// the query path holds here too under concurrent ingestion.
 	ref := s.counter.Load()
 	version := ref.counter.Version()
 	resp := StatsResponse{

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"log/slog"
 	"net/http"
 	"strconv"
 	"strings"
@@ -33,10 +34,11 @@ func WithTelemetry(reg *telemetry.Registry) Option {
 	return func(c *serverConfig) { c.metrics = reg }
 }
 
-// WithAccessLog emits one structured JSON line per HTTP request to l at
-// info level. Only effective together with WithTelemetry (the access
-// line is written by the metrics middleware).
-func WithAccessLog(l *telemetry.Logger) Option {
+// WithAccessLog emits one structured line per HTTP request to l at info
+// level (telemetry.NewAccessLogger builds the JSON form). Only
+// effective together with WithTelemetry (the access line is written by
+// the metrics middleware).
+func WithAccessLog(l *slog.Logger) Option {
 	return func(c *serverConfig) { c.accessLog = l }
 }
 
@@ -66,7 +68,7 @@ type reqKey struct {
 // registered in wire* methods against the subsystems' own state.
 type serverMetrics struct {
 	reg *telemetry.Registry
-	log *telemetry.Logger
+	log *slog.Logger
 	// collection, when non-empty, is prefixed as a `collection` label
 	// onto every series this server registers (see WithCollectionLabel).
 	collection string
@@ -80,7 +82,7 @@ type serverMetrics struct {
 	storeObs storeObserver
 }
 
-func newServerMetrics(reg *telemetry.Registry, accessLog *telemetry.Logger, collection string) *serverMetrics {
+func newServerMetrics(reg *telemetry.Registry, accessLog *slog.Logger, collection string) *serverMetrics {
 	m := &serverMetrics{
 		reg:        reg,
 		log:        accessLog,
@@ -222,23 +224,25 @@ func (m *serverMetrics) wrap(pattern string, next http.HandlerFunc) http.Handler
 		swPool.Put(sw)
 		dur.Record(elapsed)
 		m.requestCounter(route, statusClass(status), wireForm(r)).Inc()
-		if m.log.Enabled(telemetry.LevelInfo) {
+		if m.log != nil && m.log.Enabled(r.Context(), slog.LevelInfo) {
 			// The request ID is generated server-side; client-supplied
 			// correlation headers are deliberately not echoed into the log
 			// (they are uncontrolled input on a privacy-sensitive channel).
-			line := m.log.Info().
-				Req(telemetry.NextRequestID()).
-				Str("method", r.Method).
-				Str("route", route)
+			var attrs [7]slog.Attr // on the stack: LogAttrs copies them
+			line := append(attrs[:0],
+				slog.String("req", telemetry.NextRequestID().String()),
+				slog.String("method", r.Method),
+				slog.String("route", route))
 			if m.collection != "" {
 				// The collection name is operator vocabulary (registry-
 				// validated slug), same closed set as the metric label.
-				line = line.Str("collection", m.collection)
+				line = append(line, slog.String("collection", m.collection))
 			}
-			line.Int("status", int64(status)).
-				Int("bytes", bytes).
-				Dur("dur", elapsed).
-				Msg("access")
+			line = append(line,
+				slog.Int("status", status),
+				slog.Int64("bytes", bytes),
+				slog.Float64("dur", elapsed.Seconds()))
+			m.log.LogAttrs(r.Context(), slog.LevelInfo, "access", line...)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -65,7 +66,7 @@ func telemetryDo(t *testing.T, h http.Handler, method, target, contentType strin
 func TestTelemetryNeverLeaksValues(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	var logBuf bytes.Buffer
-	logger := telemetry.NewLogger(&logBuf, telemetry.LevelDebug)
+	logger := telemetry.NewAccessLogger(&logBuf, slog.LevelDebug)
 	schema := sentinelSchema(t)
 	srv, err := NewServer(schema, core.PrivacySpec{Rho1: 0.05, Rho2: 0.50},
 		WithShards(2), WithTelemetry(reg), WithAccessLog(logger),

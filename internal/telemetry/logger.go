@@ -5,244 +5,50 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"strconv"
+	"log/slog"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Level is a log severity.
-type Level int32
-
-const (
-	LevelDebug Level = iota
-	LevelInfo
-	LevelWarn
-	LevelError
-)
-
-// String names the level as it appears in log lines and flags.
-func (lv Level) String() string {
-	switch lv {
-	case LevelDebug:
-		return "debug"
-	case LevelInfo:
-		return "info"
-	case LevelWarn:
-		return "warn"
-	case LevelError:
-		return "error"
-	default:
-		return "level(" + strconv.Itoa(int(lv)) + ")"
-	}
+// NewAccessLogger returns the logger that writes the server's access
+// line: log/slog's JSON handler, one object per line, with the record
+// time under "ts" as RFC3339Nano UTC and the level in lower case
+// ("info"). Lines below min are dropped. This is the one place that
+// knows the line format.
+func NewAccessLogger(w io.Writer, min slog.Level) *slog.Logger {
+	return slog.New(slog.NewJSONHandler(w, &slog.HandlerOptions{
+		Level: min,
+		ReplaceAttr: func(_ []string, a slog.Attr) slog.Attr {
+			switch a.Key {
+			case slog.TimeKey:
+				if a.Value.Kind() == slog.KindTime {
+					return slog.Time("ts", a.Value.Time().UTC())
+				}
+			case slog.LevelKey:
+				if lv, ok := a.Value.Any().(slog.Level); ok {
+					return slog.String(slog.LevelKey, strings.ToLower(lv.String()))
+				}
+			}
+			return a
+		},
+	}))
 }
 
-// ParseLevel parses a level name as accepted on -log-level flags.
-func ParseLevel(s string) (Level, error) {
+// ParseLevel parses a level name as accepted on -log-level flags:
+// debug, info, warn (or warning), and error, in any case.
+func ParseLevel(s string) (slog.Level, error) {
 	switch strings.ToLower(s) {
 	case "debug":
-		return LevelDebug, nil
+		return slog.LevelDebug, nil
 	case "info":
-		return LevelInfo, nil
+		return slog.LevelInfo, nil
 	case "warn", "warning":
-		return LevelWarn, nil
+		return slog.LevelWarn, nil
 	case "error":
-		return LevelError, nil
+		return slog.LevelError, nil
 	}
 	return 0, fmt.Errorf("unknown log level %q (want debug|info|warn|error)", s)
-}
-
-// Logger writes leveled, structured JSON lines. Lines are built field
-// by field into pooled buffers — no maps, no reflection, no
-// interface boxing — so a per-request access line costs no heap
-// allocations, which is what lets it sit on the ingest fast path under
-// the alloc guard. A nil *Logger is valid and discards everything.
-//
-// Usage: l.Info().Str("route", r).Int("status", 200).Msg("access").
-type Logger struct {
-	mu  sync.Mutex
-	w   io.Writer
-	min atomic.Int32
-}
-
-// NewLogger returns a logger writing JSON lines at or above min to w.
-func NewLogger(w io.Writer, min Level) *Logger {
-	l := &Logger{w: w}
-	l.min.Store(int32(min))
-	return l
-}
-
-// SetLevel adjusts the minimum emitted level at runtime.
-func (l *Logger) SetLevel(min Level) {
-	if l != nil {
-		l.min.Store(int32(min))
-	}
-}
-
-// Enabled reports whether lv would be emitted.
-func (l *Logger) Enabled(lv Level) bool {
-	return l != nil && int32(lv) >= l.min.Load()
-}
-
-// Line accumulates one JSON log line. A nil *Line (disabled level or
-// nil logger) is valid: every method no-ops, so call sites never
-// branch.
-type Line struct {
-	l   *Logger
-	buf []byte
-}
-
-var linePool = sync.Pool{New: func() any { return &Line{buf: make([]byte, 0, 512)} }}
-
-// Debug, Info, Warn, and Error start a line at that level; returns nil
-// (a no-op line) when the level is disabled.
-func (l *Logger) Debug() *Line { return l.line(LevelDebug) }
-func (l *Logger) Info() *Line  { return l.line(LevelInfo) }
-func (l *Logger) Warn() *Line  { return l.line(LevelWarn) }
-func (l *Logger) Error() *Line { return l.line(LevelError) }
-
-func (l *Logger) line(lv Level) *Line {
-	if !l.Enabled(lv) {
-		return nil
-	}
-	ln := linePool.Get().(*Line)
-	ln.l = l
-	ln.buf = append(ln.buf[:0], `{"ts":"`...)
-	ln.buf = time.Now().UTC().AppendFormat(ln.buf, time.RFC3339Nano)
-	ln.buf = append(ln.buf, `","level":"`...)
-	ln.buf = append(ln.buf, lv.String()...)
-	ln.buf = append(ln.buf, '"')
-	return ln
-}
-
-// Str appends a string field.
-func (ln *Line) Str(key, v string) *Line {
-	if ln == nil {
-		return nil
-	}
-	ln.key(key)
-	ln.buf = append(ln.buf, '"')
-	ln.buf = appendJSONString(ln.buf, v)
-	ln.buf = append(ln.buf, '"')
-	return ln
-}
-
-// Int appends an integer field.
-func (ln *Line) Int(key string, v int64) *Line {
-	if ln == nil {
-		return nil
-	}
-	ln.key(key)
-	ln.buf = strconv.AppendInt(ln.buf, v, 10)
-	return ln
-}
-
-// Uint appends an unsigned integer field.
-func (ln *Line) Uint(key string, v uint64) *Line {
-	if ln == nil {
-		return nil
-	}
-	ln.key(key)
-	ln.buf = strconv.AppendUint(ln.buf, v, 10)
-	return ln
-}
-
-// Float appends a float field.
-func (ln *Line) Float(key string, v float64) *Line {
-	if ln == nil {
-		return nil
-	}
-	ln.key(key)
-	ln.buf = strconv.AppendFloat(ln.buf, v, 'g', -1, 64)
-	return ln
-}
-
-// Bool appends a boolean field.
-func (ln *Line) Bool(key string, v bool) *Line {
-	if ln == nil {
-		return nil
-	}
-	ln.key(key)
-	ln.buf = strconv.AppendBool(ln.buf, v)
-	return ln
-}
-
-// Dur appends a duration field in fractional seconds.
-func (ln *Line) Dur(key string, d time.Duration) *Line {
-	if ln == nil {
-		return nil
-	}
-	ln.key(key)
-	ln.buf = strconv.AppendFloat(ln.buf, d.Seconds(), 'g', -1, 64)
-	return ln
-}
-
-// Req appends the request ID field.
-func (ln *Line) Req(id RequestID) *Line {
-	if ln == nil {
-		return nil
-	}
-	ln.key("req")
-	ln.buf = append(ln.buf, '"')
-	ln.buf = id.AppendText(ln.buf)
-	ln.buf = append(ln.buf, '"')
-	return ln
-}
-
-// Err appends an error field; nil errors are skipped.
-func (ln *Line) Err(err error) *Line {
-	if ln == nil || err == nil {
-		return ln
-	}
-	return ln.Str("error", err.Error())
-}
-
-// Msg terminates the line with the message field and writes it.
-func (ln *Line) Msg(msg string) {
-	if ln == nil {
-		return
-	}
-	ln.buf = append(ln.buf, `,"msg":"`...)
-	ln.buf = appendJSONString(ln.buf, msg)
-	ln.buf = append(ln.buf, '"', '}', '\n')
-	l := ln.l
-	l.mu.Lock()
-	_, _ = l.w.Write(ln.buf)
-	l.mu.Unlock()
-	ln.l = nil
-	linePool.Put(ln)
-}
-
-func (ln *Line) key(k string) {
-	ln.buf = append(ln.buf, ',', '"')
-	ln.buf = appendJSONString(ln.buf, k)
-	ln.buf = append(ln.buf, '"', ':')
-}
-
-// appendJSONString escapes s per JSON string rules. Multi-byte UTF-8 is
-// passed through untouched (JSON permits raw UTF-8).
-func appendJSONString(buf []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c == '"':
-			buf = append(buf, '\\', '"')
-		case c == '\\':
-			buf = append(buf, '\\', '\\')
-		case c == '\n':
-			buf = append(buf, '\\', 'n')
-		case c == '\r':
-			buf = append(buf, '\\', 'r')
-		case c == '\t':
-			buf = append(buf, '\\', 't')
-		case c < 0x20:
-			buf = append(buf, '\\', 'u', '0', '0', hexDigit(c>>4), hexDigit(c&0xf))
-		default:
-			buf = append(buf, c)
-		}
-	}
-	return buf
 }
 
 func hexDigit(b byte) byte {
@@ -252,8 +58,7 @@ func hexDigit(b byte) byte {
 	return 'a' + b - 10
 }
 
-// RequestID identifies one HTTP request across its access-log line and
-// response header: a random 32-bit process prefix (so IDs from
+// RequestID identifies one HTTP request in the access log: a random 32-bit process prefix (so IDs from
 // different server instances do not collide in merged logs) plus a
 // 32-bit sequence number, rendered as 16 hex digits.
 type RequestID uint64
@@ -276,15 +81,12 @@ func NextRequestID() RequestID {
 	return RequestID(reqPrefix | (reqSeq.Add(1) & 0xffffffff))
 }
 
-// AppendText renders the ID as 16 lowercase hex digits.
-func (id RequestID) AppendText(buf []byte) []byte {
-	var tmp [16]byte
+// String renders the ID as 16 lowercase hex digits.
+func (id RequestID) String() string {
+	var buf [16]byte
 	for i := 15; i >= 0; i-- {
-		tmp[i] = hexDigit(byte(id & 0xf))
+		buf[i] = hexDigit(byte(id & 0xf))
 		id >>= 4
 	}
-	return append(buf, tmp[:]...)
+	return string(buf[:])
 }
-
-// String renders the ID as 16 lowercase hex digits.
-func (id RequestID) String() string { return string(id.AppendText(nil)) }

@@ -2,87 +2,81 @@ package telemetry
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
-	"errors"
+	"log/slog"
 	"strings"
 	"testing"
 	"time"
 )
 
+// TestLoggerJSONLines: an access-logger line is one JSON object holding
+// exactly ts, level, msg and the given attributes, with ts in UTC
+// RFC3339Nano, the level in lower case, and string values escaped so
+// they round-trip.
 func TestLoggerJSONLines(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewLogger(&buf, LevelDebug)
+	l := NewAccessLogger(&buf, slog.LevelDebug)
 	id := NextRequestID()
-	l.Info().
-		Str("route", "/v1/submit").
-		Str("tricky", "a\"b\\c\nd\te\x01").
-		Int("status", 200).
-		Uint("bytes", 1234).
-		Float("ratio", 0.25).
-		Bool("ok", true).
-		Dur("dur", 1500*time.Microsecond).
-		Req(id).
-		Err(errors.New("boom \"quoted\"")).
-		Msg("access")
+	const tricky = "a\"b\\c\nd\te\x01"
+	l.LogAttrs(context.Background(), slog.LevelInfo, "access",
+		slog.String("req", id.String()),
+		slog.String("route", "/v1/submit"),
+		slog.String("tricky", tricky),
+		slog.Int("status", 200),
+		slog.Int64("bytes", 1234),
+		slog.Float64("dur", (1500*time.Microsecond).Seconds()))
 
 	line := buf.String()
-	if !strings.HasSuffix(line, "\n") {
-		t.Fatal("line not newline-terminated")
+	if !strings.HasSuffix(line, "\n") || strings.Count(line, "\n") != 1 {
+		t.Fatalf("want exactly one newline-terminated line, got %q", line)
 	}
 	var m map[string]any
 	if err := json.Unmarshal([]byte(line), &m); err != nil {
 		t.Fatalf("line is not valid JSON: %v\n%s", err, line)
 	}
-	if m["level"] != "info" || m["msg"] != "access" {
-		t.Errorf("level/msg = %v/%v", m["level"], m["msg"])
+	want := map[string]any{
+		"level": "info", "msg": "access", "req": id.String(), "route": "/v1/submit",
+		"tricky": tricky, "status": float64(200), "bytes": float64(1234), "dur": 0.0015,
 	}
-	if m["route"] != "/v1/submit" || m["tricky"] != "a\"b\\c\nd\te\x01" {
-		t.Errorf("string fields corrupted: %v", m)
+	if len(m) != len(want)+1 { // + ts
+		t.Errorf("fields = %v, want ts plus %v", m, want)
 	}
-	if m["status"] != float64(200) || m["bytes"] != float64(1234) || m["ratio"] != 0.25 {
-		t.Errorf("numeric fields: %v", m)
+	for k, v := range want {
+		if m[k] != v {
+			t.Errorf("%s = %#v, want %#v", k, m[k], v)
+		}
 	}
-	if m["ok"] != true || m["dur"] != 0.0015 {
-		t.Errorf("bool/dur fields: %v", m)
+	ts, ok := m["ts"].(string)
+	if !ok {
+		t.Fatalf("ts missing: %s", line)
 	}
-	if m["req"] != id.String() {
-		t.Errorf("req = %v, want %v", m["req"], id)
+	parsed, err := time.Parse(time.RFC3339Nano, ts)
+	if err != nil {
+		t.Fatalf("ts not RFC3339Nano: %v", err)
 	}
-	if m["error"] != "boom \"quoted\"" {
-		t.Errorf("error field: %v", m["error"])
-	}
-	if ts, ok := m["ts"].(string); !ok {
-		t.Errorf("ts missing")
-	} else if _, err := time.Parse(time.RFC3339Nano, ts); err != nil {
-		t.Errorf("ts not RFC3339Nano: %v", err)
+	if _, off := parsed.Zone(); off != 0 || !strings.HasSuffix(ts, "Z") {
+		t.Errorf("ts %q not in UTC", ts)
 	}
 }
 
 func TestLoggerLevelFiltering(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewLogger(&buf, LevelWarn)
-	l.Debug().Str("k", "v").Msg("nope")
-	l.Info().Msg("nope")
-	l.Warn().Msg("yes")
-	l.Error().Msg("also")
-	lines := strings.Count(buf.String(), "\n")
-	if lines != 2 {
-		t.Fatalf("emitted %d lines, want 2:\n%s", lines, buf.String())
+	l := NewAccessLogger(&buf, slog.LevelWarn)
+	ctx := context.Background()
+	if l.Enabled(ctx, slog.LevelInfo) {
+		t.Error("info enabled at minimum level warn")
 	}
-	l.SetLevel(LevelDebug)
-	l.Debug().Msg("now")
-	if strings.Count(buf.String(), "\n") != 3 {
-		t.Fatal("SetLevel did not take effect")
+	l.LogAttrs(ctx, slog.LevelDebug, "nope", slog.String("k", "v"))
+	l.LogAttrs(ctx, slog.LevelInfo, "nope")
+	if buf.Len() != 0 {
+		t.Fatalf("below-minimum lines written: %q", buf.String())
 	}
-}
-
-func TestNilLoggerAndDisabledLineSafe(t *testing.T) {
-	var l *Logger
-	// Every chained call on a nil logger / disabled line must no-op.
-	l.Info().Str("k", "v").Int("n", 1).Req(NextRequestID()).Msg("void")
-	l.SetLevel(LevelError)
-	if l.Enabled(LevelError) {
-		t.Fatal("nil logger reports enabled")
+	l.LogAttrs(ctx, slog.LevelWarn, "yes")
+	l.LogAttrs(ctx, slog.LevelError, "also")
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != 2 || !strings.Contains(lines[0], `"level":"warn"`) || !strings.Contains(lines[1], `"level":"error"`) {
+		t.Fatalf("want one warn and one error line, got:\n%s", buf.String())
 	}
 }
 
@@ -107,15 +101,18 @@ func TestRequestIDs(t *testing.T) {
 }
 
 func TestParseLevel(t *testing.T) {
-	for in, want := range map[string]Level{
-		"debug": LevelDebug, "INFO": LevelInfo, "warning": LevelWarn, "error": LevelError,
+	for in, want := range map[string]slog.Level{
+		"debug": slog.LevelDebug, "INFO": slog.LevelInfo, "warn": slog.LevelWarn,
+		"warning": slog.LevelWarn, "Error": slog.LevelError,
 	} {
 		got, err := ParseLevel(in)
 		if err != nil || got != want {
 			t.Errorf("ParseLevel(%q) = %v, %v", in, got, err)
 		}
 	}
-	if _, err := ParseLevel("loud"); err == nil {
-		t.Error("ParseLevel(loud) accepted")
+	for _, in := range []string{"loud", "", "information", "fatal"} {
+		if _, err := ParseLevel(in); err == nil {
+			t.Errorf("ParseLevel(%q) accepted", in)
+		}
 	}
 }

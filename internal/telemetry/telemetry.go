@@ -1,8 +1,8 @@
 // Package telemetry is the dependency-free operational metrics and
 // logging core: atomic counters, gauges, and log-bucketed latency
 // histograms behind a registry that renders Prometheus text exposition
-// format (version 0.0.4), plus a leveled structured JSON logger with
-// per-request IDs. Everything here is stdlib-only and safe for
+// format (version 0.0.4), plus the access-log constructor (log/slog's
+// JSON handler) and per-request IDs. Everything here is stdlib-only and safe for
 // concurrent use; instruments are fixed-size and allocation-free to
 // update, so they can sit directly on ingest fast paths.
 //
