@@ -15,15 +15,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Histogram is the shared log-bucketed latency histogram, promoted to
-// internal/telemetry so the server's operational metrics and this
-// harness record into the same implementation. The alias keeps the
-// loadgen API unchanged.
-type Histogram = telemetry.Histogram
-
-// NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram { return telemetry.NewHistogram() }
-
 // Class is an endpoint class of the driven traffic.
 type Class int
 
@@ -57,7 +48,7 @@ func Classes() []Class { return []Class{ClassSubmit, ClassQuery, ClassMine} }
 // Recorder accumulates per-class latency histograms and outcome
 // counters for one run. All methods are safe for concurrent use.
 type Recorder struct {
-	hist [numClasses]*Histogram
+	hist [numClasses]*telemetry.Histogram
 	// ok/failed count operations; rejected counts backpressure refusals
 	// (HTTP 503 on a full mine-job queue) separately from hard failures.
 	ok       [numClasses]atomic.Uint64
@@ -71,7 +62,7 @@ type Recorder struct {
 func NewRecorder() *Recorder {
 	r := &Recorder{}
 	for i := range r.hist {
-		r.hist[i] = NewHistogram()
+		r.hist[i] = telemetry.NewHistogram()
 	}
 	return r
 }
@@ -96,7 +87,7 @@ func (r *Recorder) Failure(c Class, rejected bool) {
 }
 
 // Hist returns the class's histogram.
-func (r *Recorder) Hist(c Class) *Histogram { return r.hist[c] }
+func (r *Recorder) Hist(c Class) *telemetry.Histogram { return r.hist[c] }
 
 // OK, Failed, and Rejected return the class's outcome counters.
 func (r *Recorder) OK(c Class) uint64       { return r.ok[c].Load() }

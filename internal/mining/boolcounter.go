@@ -202,22 +202,38 @@ func (c *boolCore) applyDelta(d *CounterDelta) error {
 	if err := validateDelta(d, c.Fingerprint()); err != nil {
 		return err
 	}
-	limit := uint64(1) << uint(c.est.mapping().Mb)
-	for _, cell := range d.Cells {
+	return c.addCells(d.Cells, d.Records)
+}
+
+// addCells validates a batch of perturbed rows — cell ranges, then
+// checkCells — and folds it in: rows, record count, bit moments and,
+// when on, the journal. The one apply of replication deltas, WAL
+// replay and saved states; an empty core sizes its row map once
+// instead of growing it cell by cell.
+func (c *boolCore) addCells(cells []DeltaCell, records int) error {
+	mb := c.est.mapping().Mb
+	limit := uint64(1) << uint(mb)
+	for _, cell := range cells {
 		if cell.Idx >= limit {
-			return fmt.Errorf("%w: delta cell index %d outside boolean domain 2^%d", ErrMining, cell.Idx, c.est.mapping().Mb)
+			return fmt.Errorf("%w: cell index %d outside boolean domain 2^%d", ErrMining, cell.Idx, mb)
 		}
 	}
-	mom := cellMoments(d.Cells, c.est.mapping().Mb)
+	if err := checkCells(cells, records); err != nil {
+		return err
+	}
+	mom := cellMoments(cells, mb)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, cell := range d.Cells {
+	if len(c.rows) == 0 {
+		c.rows = make(map[uint64]float64, len(cells))
+	}
+	for _, cell := range cells {
 		c.rows[cell.Idx] += cell.Count
 	}
-	c.n += d.Records
+	c.n += records
 	c.addMomentsLocked(mom)
 	if c.jr.on {
-		for _, cell := range d.Cells {
+		for _, cell := range cells {
 			c.jr.add(cell.Idx, cell.Count)
 		}
 		c.jr.settle()
@@ -264,43 +280,13 @@ func (c *boolCore) cut(read cutRead, edit func(*journal)) shardCut {
 	return sc
 }
 
-// restoreShard validates one saved shard payload — cell ranges,
-// positivity, and the record-count sum — and folds it in. Callers
-// restore into freshly built counters only.
+// restoreShard validates one saved shard payload and folds it in
+// through addCells. Callers restore into freshly built counters only.
 func (c *boolCore) restoreShard(sh shardState) error {
-	if sh.N < 0 {
-		return fmt.Errorf("%w: negative record count %d", ErrMining, sh.N)
-	}
 	if len(sh.Hists) != 0 {
 		return fmt.Errorf("%w: state carries dense histograms, not a boolean counter payload", ErrMining)
 	}
-	limit := uint64(1) << uint(c.est.mapping().Mb)
-	var sum float64
-	for _, cell := range sh.Cells {
-		if cell.Idx >= limit {
-			return fmt.Errorf("%w: state cell index %d outside boolean domain 2^%d", ErrMining, cell.Idx, c.est.mapping().Mb)
-		}
-		if cell.Count <= 0 {
-			return fmt.Errorf("%w: non-positive state cell count %v at index %d", ErrMining, cell.Count, cell.Idx)
-		}
-		sum += cell.Count
-	}
-	if diff := sum - float64(sh.N); diff > 1e-6 || diff < -1e-6 {
-		return fmt.Errorf("%w: state cells total %v, want %d records", ErrMining, sum, sh.N)
-	}
-	mom := cellMoments(sh.Cells, c.est.mapping().Mb)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.rows) == 0 {
-		// Size the map once instead of growing it cell by cell.
-		c.rows = make(map[uint64]float64, len(sh.Cells))
-	}
-	for _, cell := range sh.Cells {
-		c.rows[cell.Idx] += cell.Count
-	}
-	c.n += sh.N
-	c.addMomentsLocked(mom)
-	return nil
+	return c.addCells(sh.Cells, sh.N)
 }
 
 // checkState validates decoded state metadata against this core's

@@ -329,17 +329,17 @@ func validateDelta(d *CounterDelta, fingerprint string) error {
 // positive cells that sum to it.
 func checkCells(cells []DeltaCell, records int) error {
 	if records < 0 {
-		return fmt.Errorf("%w: delta carries negative record count %d", ErrMining, records)
+		return fmt.Errorf("%w: negative record count %d", ErrMining, records)
 	}
 	var sum float64
 	for _, cell := range cells {
 		if cell.Count <= 0 {
-			return fmt.Errorf("%w: non-positive delta cell count %v at index %d", ErrMining, cell.Count, cell.Idx)
+			return fmt.Errorf("%w: non-positive cell count %v at index %d", ErrMining, cell.Count, cell.Idx)
 		}
 		sum += cell.Count
 	}
 	if diff := sum - float64(records); diff > 1e-6 || diff < -1e-6 {
-		return fmt.Errorf("%w: delta cells total %v, want %d records", ErrMining, sum, records)
+		return fmt.Errorf("%w: cells total %v, want %d records", ErrMining, sum, records)
 	}
 	return nil
 }

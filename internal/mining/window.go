@@ -18,36 +18,13 @@ import (
 // read cost. No record is ever re-scanned (none is stored), and expiry
 // is O(1) per bucket: the expired sub-counter is simply discarded.
 //
-// WindowedCounter implements LiveCounter over such a ring, plus the
-// WindowView surface that answers reads restricted to the newest K
-// buckets ("last 24h"). Windowed counters are in-memory only: their
-// content is defined by wall-clock expiry, which a WAL replayed at an
-// arbitrary later time cannot reproduce, so there is no Save and no
-// DeltaSince (the service layer gates stores and federation off windowed
-// collections for the same reason).
-
-// WindowView is the optional time-ranged read surface of a live
-// counter. The service layer type-asserts its counter against this to
-// serve `window` parameters on /v1/query and mining jobs.
-type WindowView interface {
-	LiveCounter
-	// WindowSpec returns the ring geometry: bucket count and bucket
-	// duration (retention = buckets × bucket).
-	WindowSpec() (buckets int, bucket time.Duration)
-	// EstimatesWindow answers filter-count queries over the newest
-	// ceil(window/bucket) buckets (window <= 0 means the full ring). It
-	// returns the estimates, the record count of the same consistent
-	// sweep, and the counter version the answer is EXACT for — read
-	// under the same lock as the sweep, because bucket expiry makes
-	// windowed content non-monotonic (a later read can see fewer
-	// records, so the unwindowed "strictly newer is still valid"
-	// convention does not apply).
-	EstimatesWindow(filters []Itemset, window time.Duration) ([]PointEstimate, int, uint64, error)
-	// SnapshotWindowVersioned folds the newest ceil(window/bucket)
-	// buckets into one frozen SupportCounter (minable by Apriori) with
-	// the version it is exact for.
-	SnapshotWindowVersioned(window time.Duration) (SupportCounter, uint64)
-}
+// WindowedCounter implements LiveCounter over such a ring, plus
+// EstimatesWindow and SnapshotWindowVersioned, which answer reads
+// restricted to the newest K buckets ("last 24h"). Windowed counters
+// are in-memory only: their content is defined by wall-clock expiry,
+// which a WAL replayed at an arbitrary later time cannot reproduce, so
+// there is no Save and no DeltaSince (the service layer gates stores
+// and federation off windowed collections for the same reason).
 
 // WindowedCounter is a LiveCounter whose content is the last
 // (buckets × bucket) of ingested records: a ring of per-bucket
@@ -82,9 +59,6 @@ type WindowedCounter struct {
 	now func() time.Time
 	obs IngestObserver
 }
-
-// Compile-time check: WindowedCounter is a windowed LiveCounter.
-var _ WindowView = (*WindowedCounter)(nil)
 
 // maxWindowBuckets bounds the ring so a typo'd flag cannot allocate
 // thousands of materialized cores.
@@ -339,7 +313,13 @@ func (w *WindowedCounter) Estimates(filters []Itemset) ([]PointEstimate, int, er
 }
 
 // EstimatesWindow answers filter-count queries over the newest
-// ceil(window/bucket) buckets. See WindowView for the version contract.
+// ceil(window/bucket) buckets (window <= 0 means the full ring). It
+// returns the estimates, the record count of the same consistent
+// sweep, and the counter version the answer is EXACT for — read under
+// the same lock as the sweep, because bucket expiry makes windowed
+// content non-monotonic (a later read can see fewer records, so the
+// unwindowed "strictly newer is still valid" convention does not
+// apply).
 func (w *WindowedCounter) EstimatesWindow(filters []Itemset, window time.Duration) ([]PointEstimate, int, uint64, error) {
 	w.tick()
 	w.mu.RLock()

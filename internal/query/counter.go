@@ -15,9 +15,8 @@ import (
 // arity <= 2 in O(#filters) from the counter's bit moments, and sweeps
 // its sparse joint histogram of distinct perturbed rows once for all
 // longer filters. It is safe for concurrent use whenever the underlying
-// counter is, so the collection service serves interactive queries from
-// the live ingestion counter without snapshotting or pausing
-// submissions.
+// counter is, so it can answer from a live ingestion counter without
+// snapshotting or pausing submissions.
 type CounterEngine struct {
 	counter mining.LiveCounter
 }
@@ -45,9 +44,7 @@ func (e *CounterEngine) Count(filter mining.Itemset) (Estimate, error) {
 // N, even while submissions keep arriving on the live counter. The
 // counter validates the filters before indexing its histograms, so
 // invalid filters surface as wrapped ErrQuery errors without a second
-// pass here. Each (point estimate, stderr) pair gets the 95%
-// z-interval; a zero stderr (the exact zero-arity case) yields a
-// zero-width interval, matching the scan engine's exactEstimate.
+// pass here. Each (point estimate, stderr) pair gets its Interval.
 func (e *CounterEngine) CountAll(filters []mining.Itemset) ([]Estimate, error) {
 	pes, n, err := e.counter.Estimates(filters)
 	if err != nil {
@@ -58,13 +55,7 @@ func (e *CounterEngine) CountAll(filters []mining.Itemset) ([]Estimate, error) {
 	}
 	out := make([]Estimate, len(pes))
 	for i, pe := range pes {
-		out[i] = Estimate{
-			Count:  pe.Count,
-			StdErr: pe.StdErr,
-			Lo:     pe.Count - z95*pe.StdErr,
-			Hi:     pe.Count + z95*pe.StdErr,
-			N:      n,
-		}
+		out[i] = Interval(pe.Count, pe.StdErr, n)
 	}
 	return out, nil
 }

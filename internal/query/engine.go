@@ -9,11 +9,11 @@
 //
 // Engine applies that estimator (Reconstruct) to a materialized
 // perturbed database, scanning it once per filter; it is the offline
-// reference the live path is tested against. CounterEngine is the
-// collection service's live query path: it asks a mining.LiveCounter
-// for its scheme's estimates — the same estimator for gamma, resolved
-// from incrementally materialized histograms in O(#filters) — and
-// attaches the confidence intervals.
+// reference the live path is tested against. CounterEngine asks a
+// mining.LiveCounter for its scheme's estimates — the same estimator
+// for gamma, resolved from incrementally materialized histograms in
+// O(#filters) — and attaches the confidence intervals. Interval is the
+// one interval builder both engines and the collection service use.
 package query
 
 import (

@@ -43,14 +43,18 @@ func (e Estimate) Proportion() (p, lo, hi float64) {
 	return e.Count / n, e.Lo / n, e.Hi / n
 }
 
-// Z95 is the two-sided 95% normal quantile — exported so layers that
-// compose confidence intervals from mining.PointEstimates directly
-// (the windowed query path) use exactly the constant this package's
-// own intervals are built with.
-const Z95 = 1.959963984540054
+// z95 is the two-sided 95% normal quantile.
+const z95 = 1.959963984540054
 
-// z95 is the internal alias the estimator paths use.
-const z95 = Z95
+// Interval attaches the 95% confidence interval count ± z95·stderr
+// (normal approximation, unclamped) to a point estimate based on n
+// records. It is the one place intervals are built: the scan engine,
+// the counter engine and the collection service all answer through
+// it, so their intervals are directly comparable. A zero stderr (the
+// exact zero-arity case) yields a zero-width interval.
+func Interval(count, stderr float64, n int) Estimate {
+	return Estimate{Count: count, StdErr: stderr, Lo: count - z95*stderr, Hi: count + z95*stderr, N: n}
+}
 
 // Reconstruct is the record-scan Engine's estimator core (the gamma
 // counter in internal/mining evaluates the same closed form from its
@@ -76,21 +80,13 @@ func Reconstruct(y float64, n int, marg core.UniformMatrix) (Estimate, error) {
 	est := (y - marg.Off*float64(n)) / a
 	phat := y / float64(n)
 	stderr := math.Sqrt(float64(n)*phat*(1-phat)) / a
-	return Estimate{
-		Count:  est,
-		StdErr: stderr,
-		Lo:     est - z95*stderr,
-		Hi:     est + z95*stderr,
-		N:      n,
-	}, nil
+	return Interval(est, stderr, n), nil
 }
 
 // exactEstimate is the zero-arity case: an empty filter matches every
 // record, so the count is n with no reconstruction noise and a
 // zero-width interval.
-func exactEstimate(n int) Estimate {
-	return Estimate{Count: float64(n), Lo: float64(n), Hi: float64(n), N: n}
-}
+func exactEstimate(n int) Estimate { return Interval(float64(n), 0, n) }
 
 // marginalCache memoizes core.UniformMatrix.Marginal per sub-domain
 // size within one batch, so CountAll computes one marginal per distinct

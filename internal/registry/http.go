@@ -63,13 +63,25 @@ func (c *Collection) info() CollectionInfo {
 
 // Handler returns the registry's full HTTP surface: lifecycle
 // endpoints, per-collection data planes, and the legacy alias onto the
-// default collection.
+// default collection. With Metrics set, the lifecycle endpoints are
+// wrapped in the service's own metrics/access-log middleware; the data
+// planes are instrumented by the collection servers they route to.
 func (r *Registry) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/collections", r.handleList)
-	mux.HandleFunc("GET /v1/collections/{name}", r.handleGet)
-	mux.HandleFunc("PUT /v1/collections/{name}", r.handlePut)
-	mux.HandleFunc("DELETE /v1/collections/{name}", r.handleDelete)
+	var wrap func(string, http.HandlerFunc) http.HandlerFunc
+	if r.metrics != nil {
+		wrap = service.Instrument(r.metrics, r.access)
+	}
+	lifecycle := func(pattern string, h http.HandlerFunc) {
+		if wrap != nil {
+			h = wrap(pattern, h)
+		}
+		mux.HandleFunc(pattern, h)
+	}
+	lifecycle("GET /v1/collections", r.handleList)
+	lifecycle("GET /v1/collections/{name}", r.handleGet)
+	lifecycle("PUT /v1/collections/{name}", r.handlePut)
+	lifecycle("DELETE /v1/collections/{name}", r.handleDelete)
 	mux.HandleFunc("/v1/collections/{name}/{rest...}", r.handleDataPlane)
 	mux.HandleFunc("/", r.handleDefault)
 	return mux

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -558,4 +559,73 @@ func TestRegistryTenantChurn(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+}
+
+// TestLifecycleTelemetry: collection lifecycle requests pass through
+// the service's metrics/access-log middleware — one access line and one
+// frapp_http_requests_total series under the route pattern, with no
+// field or label carrying the collection name from the path, and no
+// job, ingest or store series outside the collection's own labels.
+func TestLifecycleTelemetry(t *testing.T) {
+	metrics := telemetry.NewRegistry()
+	var logBuf bytes.Buffer
+	r, err := New(Options{Metrics: metrics, AccessLog: telemetry.NewAccessLogger(&logBuf, slog.LevelInfo)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+	body, err := json.Marshal(testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest("PUT", "/v1/collections/acme", bytes.NewReader(body))
+	req.Header.Set("Content-Type", "application/json")
+	rec := httptest.NewRecorder()
+	r.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusCreated {
+		t.Fatalf("PUT: %d %s", rec.Code, rec.Body)
+	}
+
+	lines := strings.Split(strings.TrimSpace(logBuf.String()), "\n")
+	if logBuf.Len() == 0 || len(lines) != 1 {
+		t.Fatalf("access log holds %d lines, want 1:\n%s", len(lines), logBuf.String())
+	}
+	var line map[string]any
+	if err := json.Unmarshal([]byte(lines[0]), &line); err != nil {
+		t.Fatal(err)
+	}
+	if line["route"] != "/v1/collections/{name}" || line["method"] != "PUT" || line["status"] != float64(201) {
+		t.Errorf("access line = %v, want PUT /v1/collections/{name} 201", line)
+	}
+	for k, v := range line {
+		if s, ok := v.(string); ok && strings.Contains(s, "acme") {
+			t.Errorf("access log field %s=%q carries the path's collection name", k, s)
+		}
+	}
+
+	var expo bytes.Buffer
+	if err := metrics.WriteText(&expo); err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := telemetry.ParseExposition(expo.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := parsed.Value("frapp_http_requests_total",
+		map[string]string{"route": "/v1/collections/{name}", "code": "2xx", "wire": "json"}); !ok || v != 1 {
+		t.Errorf("lifecycle request series = %v,%v, want 1", v, ok)
+	}
+	metrics.EachSeries(func(name, _ string, labels []telemetry.Label) {
+		collection := ""
+		for _, l := range labels {
+			if l.Key == "collection" {
+				collection = l.Value
+			} else if strings.Contains(l.Value, "acme") {
+				t.Errorf("%s label %s=%q carries the path's collection name", name, l.Key, l.Value)
+			}
+		}
+		if collection == "" && !strings.HasPrefix(name, "frapp_http_") {
+			t.Errorf("series %s%v registered outside any collection", name, labels)
+		}
+	})
 }

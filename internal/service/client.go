@@ -25,11 +25,10 @@ import (
 // that contract, rebuilds the scheme locally, and perturbs every record
 // on the client before anything is transmitted — the FRAPP trust model
 // in which users "trust no one except themselves". The client does not
-// take the server's word for the scheme parameters: it re-derives what
-// it can (the gamma-diagonal matrix) and verifies the worst-case
-// amplification of the rest (MASK's p, C&P's K and ρ) against the
-// published γ bound, refusing to submit under a contract that leaks
-// more than advertised.
+// take the server's word for the scheme parameters: it derives the
+// whole scheme from the published (schema, γ) through the server's own
+// derivation (mining.SchemeForContract) and refuses to submit unless
+// the advertised parameters are exactly the derived ones.
 type Client struct {
 	base   string
 	http   *http.Client
@@ -112,20 +111,28 @@ func NewClient(baseURL string, opts ...ClientOption) (*Client, error) {
 	}
 	// Responses from pre-scheme servers carry no scheme block; that is
 	// the gamma default.
-	schemeName := sr.Scheme.Name
-	if schemeName == "" {
-		schemeName = mining.SchemeGamma
+	advertised := sr.Scheme
+	if advertised.Name == "" {
+		advertised.Name = mining.SchemeGamma
 	}
-	c.scheme = schemeName
-	if cfg.randomization > 0 && schemeName != mining.SchemeGamma {
-		return nil, fmt.Errorf("%w: client-side randomization is a gamma-scheme extension, server runs %q", ErrService, schemeName)
+	c.scheme = advertised.Name
+	if cfg.randomization > 0 && c.scheme != mining.SchemeGamma {
+		return nil, fmt.Errorf("%w: client-side randomization is a gamma-scheme extension, server runs %q", ErrService, c.scheme)
 	}
-	switch schemeName {
-	case mining.SchemeGamma:
-		matrix, err := core.NewGammaDiagonal(schema.DomainSize(), gamma)
-		if err != nil {
-			return nil, err
-		}
+	// Derive the scheme from (schema, γ) exactly as the server does; an
+	// advertisement with any other parameters is refused.
+	scheme, err := mining.SchemeForContract(c.scheme, schema, gamma)
+	if err != nil {
+		return nil, fmt.Errorf("%w: server runs an unsupported contract: %w", ErrService, err)
+	}
+	if derived := schemeJSON(scheme); advertised != derived {
+		return nil, fmt.Errorf("%w: advertised scheme %+v differs from %+v, derived from the published gamma=%g",
+			ErrService, advertised, derived, gamma)
+	}
+	c.fingerprint = scheme.Fingerprint()
+	switch sc := scheme.(type) {
+	case *mining.GammaScheme:
+		matrix := sc.Matrix()
 		if cfg.randomization > 0 {
 			c.perturber, err = core.NewRandomizedGammaPerturber(schema, matrix, cfg.randomization*matrix.Diag)
 		} else {
@@ -134,49 +141,10 @@ func NewClient(baseURL string, opts ...ClientOption) (*Client, error) {
 		if err != nil {
 			return nil, err
 		}
-		c.fingerprint = mining.CompatibilityFingerprint(schema, matrix)
-	case mining.SchemeMask:
-		bm, err := core.NewBoolMapping(schema)
-		if err != nil {
-			return nil, err
-		}
-		mask, err := core.NewMaskScheme(bm, sr.Scheme.MaskP)
-		if err != nil {
-			return nil, err
-		}
-		// Verify the advertised retention probability actually satisfies
-		// the published privacy bound before perturbing anything with it.
-		if amp := mask.Amplification(); amp > gamma*(1+1e-9) {
-			return nil, fmt.Errorf("%w: advertised MASK p=%g amplifies to %.4g, violating the published gamma=%g",
-				ErrService, sr.Scheme.MaskP, amp, gamma)
-		}
-		c.mask = mask
-		ms, err := mining.NewMaskCounterScheme(mask)
-		if err != nil {
-			return nil, err
-		}
-		c.fingerprint = ms.Fingerprint()
-	case mining.SchemeCutPaste:
-		bm, err := core.NewBoolMapping(schema)
-		if err != nil {
-			return nil, err
-		}
-		cp, err := core.NewCutPasteScheme(bm, sr.Scheme.CutK, sr.Scheme.CutRho)
-		if err != nil {
-			return nil, err
-		}
-		if amp := cp.Amplification(); amp > gamma*(1+1e-9) {
-			return nil, fmt.Errorf("%w: advertised C&P K=%d rho=%g amplifies to %.4g, violating the published gamma=%g",
-				ErrService, sr.Scheme.CutK, sr.Scheme.CutRho, amp, gamma)
-		}
-		c.cutpaste = cp
-		cs, err := mining.NewCutPasteCounterScheme(cp)
-		if err != nil {
-			return nil, err
-		}
-		c.fingerprint = cs.Fingerprint()
-	default:
-		return nil, fmt.Errorf("%w: server runs unsupported scheme %q", ErrService, schemeName)
+	case *mining.MaskCounterScheme:
+		c.mask = sc.Mask()
+	case *mining.CutPasteCounterScheme:
+		c.cutpaste = sc.CutPaste()
 	}
 	return c, nil
 }

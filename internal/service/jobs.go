@@ -35,21 +35,6 @@ type MineParams struct {
 	Window string `json:"window,omitempty"`
 }
 
-// windowDuration parses the Window parameter; ("", 0) when absent.
-func (p MineParams) windowDuration() (time.Duration, error) {
-	if p.Window == "" {
-		return 0, nil
-	}
-	d, err := time.ParseDuration(p.Window)
-	if err != nil {
-		return 0, fmt.Errorf("%w: bad window %q: %v", ErrService, p.Window, err)
-	}
-	if d <= 0 {
-		return 0, fmt.Errorf("%w: window %q must be positive", ErrService, p.Window)
-	}
-	return d, nil
-}
-
 // applyDefaults replaces zero values with the endpoint defaults — used
 // by the JSON job API, where an absent field decodes to zero. The query
 // endpoint applies defaults only for ABSENT parameters (see
@@ -64,7 +49,9 @@ func (p *MineParams) applyDefaults() {
 	}
 }
 
-// validate checks ranges without touching values.
+// validate checks ranges without touching values. A window on a
+// collection that is not windowed passes here and fails the job when
+// it runs (executeMine).
 func (p MineParams) validate() error {
 	if !(p.MinSupport > 0 && p.MinSupport <= 1) {
 		return fmt.Errorf("%w: minsup %v not in (0,1]", ErrService, p.MinSupport)
@@ -78,7 +65,7 @@ func (p MineParams) validate() error {
 	if p.MaxLen < 0 {
 		return fmt.Errorf("%w: negative maxlen %d", ErrService, p.MaxLen)
 	}
-	_, err := p.windowDuration()
+	_, err := parseWindow(p.Window)
 	return err
 }
 
@@ -151,7 +138,6 @@ type mineKey struct {
 	gen     uint64
 	version uint64
 	minsup  float64
-	scheme  string
 	maxlen  int
 	// window distinguishes computations over different time windows of
 	// one windowed counter. The version alone does not: rotation bumps

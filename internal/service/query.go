@@ -26,9 +26,10 @@ import (
 //
 // Results follow the same snapshot-version discipline as mining jobs:
 // every response reports the (counter generation, snapshot version)
-// pair it is exact for, the version read BEFORE the counter sweep, so a
-// client that still observes the same pair in /v1/stats may keep
-// reusing the response. The generation matters because a counter swap
+// pair it is exact for — on a plain collection the version read BEFORE
+// the counter sweep, on a windowed one the version read under the same
+// ring lock as the sweep — so a client that still observes the same
+// pair in /v1/stats may keep reusing the response. The generation matters because a counter swap
 // restarts the version line; the version alone could alias two
 // different collections across a swap. No server-side result cache is
 // kept — the stamps exist so CLIENTS can cache.
@@ -151,8 +152,8 @@ func (s *Server) attrIndex(name string) int {
 
 // handleQuery answers a batch of filter-count queries from the live
 // counter. The handler never touches stored records — the server keeps
-// none — and never snapshots: the counter sweep inside CountAll merges
-// only the histograms the batch needs, one shard lock at a time.
+// none — and never snapshots: the counter sweep merges only the
+// histograms the batch needs, one shard lock at a time.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
 	var qr QueryRequest
@@ -179,102 +180,23 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		filters[i] = f
 	}
+	window, err := s.windowOf(qr.Window, "query without the window field")
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return
+	}
 	// One load yields a consistent (counter, generation) pair even if a
 	// counter swap lands mid-request.
 	ref := s.counter.Load()
-	if qr.Window != "" {
-		s.handleWindowedQuery(w, ref, filters, qr.Window)
-		return
-	}
-	counter := ref.counter
-	if counter.N() == 0 {
-		httpError(w, http.StatusConflict, errNoSubmissions)
-		return
-	}
-	if wv, ok := counter.(mining.WindowView); ok {
-		// A ring rotation can expire records between any two reads of a
-		// windowed counter, so its record count and version must come
-		// from the one locked sweep the windowed path makes: the full
-		// ring is the unwindowed answer.
-		s.writeWindowedQuery(w, ref, wv, filters, 0, "")
-		return
-	}
-	// The version is read BEFORE the sweep (the SnapshotVersioned
-	// convention): every record visible at this version is fully inside
-	// some shard and therefore inside the sweep, so Records >= version
-	// and the response is exact for it.
-	version := counter.Version()
-	// The live engine answers through the counter's own scheme
-	// estimator, so this one path serves gamma, MASK, and cut-and-paste
-	// collections alike.
-	eng, err := query.NewLiveCounterEngine(counter)
+	ests, n, version, err := s.estimates(ref.counter, filters, window)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
-		return
-	}
-	ests, err := eng.CountAll(filters)
-	if err != nil {
-		// Filters were validated above and the collection is non-empty
-		// (and can only grow), so any estimator error is a server bug.
-		httpError(w, http.StatusInternalServerError, err)
-		return
-	}
-	resp := QueryResponse{
-		Records:           ests[0].N,
-		SnapshotVersion:   version,
-		CounterGeneration: ref.gen,
-		VersionVector:     ref.vector,
-		Estimates:         make([]QueryEstimate, len(ests)),
-	}
-	for i, e := range ests {
-		resp.Estimates[i] = QueryEstimate{Count: e.Count, StdErr: e.StdErr, Lo: e.Lo, Hi: e.Hi, N: e.N}
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleWindowedQuery validates a request's window and answers the
-// filter batch over the newest ceil(window/bucket) ring buckets of a
-// windowed collection.
-func (s *Server) handleWindowedQuery(w http.ResponseWriter, ref *counterRef, filters []mining.Itemset, windowStr string) {
-	window, err := time.ParseDuration(windowStr)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("%w: bad window %q: %v", ErrService, windowStr, err))
-		return
-	}
-	if window <= 0 {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("%w: window %q must be positive", ErrService, windowStr))
-		return
-	}
-	wv, ok := ref.counter.(mining.WindowView)
-	if !ok {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("%w: collection is not windowed; query without the window field", ErrService))
-		return
-	}
-	s.writeWindowedQuery(w, ref, wv, filters, window, windowStr)
-}
-
-// writeWindowedQuery answers filters over the newest ceil(window/bucket)
-// buckets of a windowed counter (window 0 = the full ring). The counter
-// returns the version together with the estimates, read under the same
-// lock as the sweep: windowed content is non-monotonic (a ring rotation
-// REMOVES records), so the unwindowed path's "version read before the
-// sweep stays valid for strictly newer content" argument does not apply
-// and the stamp must be exact. windowStr is echoed in the response (""
-// for an unwindowed request).
-func (s *Server) writeWindowedQuery(w http.ResponseWriter, ref *counterRef, wv mining.WindowView, filters []mining.Itemset, window time.Duration, windowStr string) {
-	ests, n, version, err := wv.EstimatesWindow(filters, window)
-	if err != nil {
-		// Filters were validated by the caller, so estimator errors are
-		// server bugs, as on the unwindowed path.
+		// Filters were validated above, so any estimator error is a
+		// server bug.
 		httpError(w, http.StatusInternalServerError, err)
 		return
 	}
 	if n == 0 {
-		err := errNoSubmissions
-		if windowStr != "" {
-			err = fmt.Errorf("%w (no records in the last %s)", errNoSubmissions, windowStr)
-		}
-		httpError(w, http.StatusConflict, err)
+		httpError(w, http.StatusConflict, errEmpty(qr.Window))
 		return
 	}
 	resp := QueryResponse{
@@ -282,20 +204,76 @@ func (s *Server) writeWindowedQuery(w http.ResponseWriter, ref *counterRef, wv m
 		SnapshotVersion:   version,
 		CounterGeneration: ref.gen,
 		VersionVector:     ref.vector,
-		Window:            windowStr,
+		Window:            qr.Window,
 		Estimates:         make([]QueryEstimate, len(ests)),
 	}
-	// Intervals use the same 95% normal quantile the query engine's own
-	// estimates carry, so windowed and unwindowed responses are directly
-	// comparable.
 	for i, pe := range ests {
-		resp.Estimates[i] = QueryEstimate{
-			Count:  pe.Count,
-			StdErr: pe.StdErr,
-			Lo:     pe.Count - query.Z95*pe.StdErr,
-			Hi:     pe.Count + query.Z95*pe.StdErr,
-			N:      n,
-		}
+		e := query.Interval(pe.Count, pe.StdErr, n)
+		resp.Estimates[i] = QueryEstimate{Count: e.Count, StdErr: e.StdErr, Lo: e.Lo, Hi: e.Hi, N: e.N}
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// estimates is the query path's one read: the scheme estimates of
+// filters, the record count they are based on, and the version the
+// answer is exact for. The estimator is the counter's own, so this one
+// read serves gamma, MASK, and cut-and-paste collections alike.
+func (s *Server) estimates(counter mining.LiveCounter, filters []mining.Itemset, window time.Duration) ([]mining.PointEstimate, int, uint64, error) {
+	// An empty collection has no estimates. A plain counter only grows,
+	// so one found non-empty here stays non-empty through the sweep; a
+	// ring rotation can still empty a windowed one, whose sweep then
+	// reports no records itself.
+	if counter.N() == 0 {
+		return nil, 0, 0, nil
+	}
+	if s.window != nil {
+		// Windowed content is non-monotonic (a ring rotation REMOVES
+		// records), so the record count and the version must come from
+		// the one locked sweep: window 0 is the full ring.
+		return s.window.EstimatesWindow(filters, window)
+	}
+	// The version is read BEFORE the sweep (the SnapshotVersioned
+	// convention): every record visible at this version is fully inside
+	// some shard and therefore inside the sweep, so Records >= version
+	// and the response is exact for it.
+	version := counter.Version()
+	ests, n, err := counter.Estimates(filters)
+	return ests, n, version, err
+}
+
+// parseWindow is the one parser of a request's window parameter, for
+// /v1/query and mining jobs alike: "" means the whole collection (0),
+// anything else must be a positive Go duration.
+func parseWindow(raw string) (time.Duration, error) {
+	if raw == "" {
+		return 0, nil
+	}
+	window, err := time.ParseDuration(raw)
+	if err != nil {
+		return 0, fmt.Errorf("%w: bad window %q: %v", ErrService, raw, err)
+	}
+	if window <= 0 {
+		return 0, fmt.Errorf("%w: window %q must be positive", ErrService, raw)
+	}
+	return window, nil
+}
+
+// windowOf parses a request's window and refuses one on a collection
+// that is not windowed; remedy ends that message with what the client
+// should send instead.
+func (s *Server) windowOf(raw, remedy string) (time.Duration, error) {
+	window, err := parseWindow(raw)
+	if err == nil && window > 0 && s.window == nil {
+		return 0, fmt.Errorf("%w: collection is not windowed; %s", ErrService, remedy)
+	}
+	return window, err
+}
+
+// errEmpty is the 409 of a read that found no records; a windowed
+// request names its window.
+func errEmpty(window string) error {
+	if window == "" {
+		return errNoSubmissions
+	}
+	return fmt.Errorf("%w (no records in the last %s)", errNoSubmissions, window)
 }

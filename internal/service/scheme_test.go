@@ -401,6 +401,48 @@ func TestClientRejectsContractViolations(t *testing.T) {
 	}
 }
 
+// TestClientRejectsUnderivedScheme: a MASK p that satisfies the γ
+// bound but is not the value derived from the published contract is
+// refused too — the client derives the scheme, it does not only bound
+// the advertised one.
+func TestClientRejectsUnderivedScheme(t *testing.T) {
+	sr := SchemaResponse{
+		Name:       "svc",
+		Attributes: []AttributeJSON{{Name: "a", Categories: []string{"a0", "a1", "a2"}}, {Name: "b", Categories: []string{"b0", "b1"}}},
+		Privacy:    PrivacyJSON{Rho1: 0.05, Rho2: 0.50},
+		Scheme:     SchemeJSON{Name: mining.SchemeMask, MaskP: 0.51},
+	}
+	schema, err := dataset.NewSchema(sr.Name, []dataset.Attribute{
+		{Name: "a", Categories: []string{"a0", "a1", "a2"}}, {Name: "b", Categories: []string{"b0", "b1"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gamma, err := core.PrivacySpec{Rho1: sr.Privacy.Rho1, Rho2: sr.Privacy.Rho2}.Gamma()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bm, err := core.NewBoolMapping(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mask, err := core.NewMaskScheme(bm, sr.Scheme.MaskP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if amp := mask.Amplification(); amp > gamma {
+		t.Fatalf("premise: p=%v amplifies to %v, past gamma=%v", sr.Scheme.MaskP, amp, gamma)
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/schema", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, sr)
+	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+	if _, err := NewClient(ts.URL, WithHTTPClient(ts.Client())); !errors.Is(err, ErrService) {
+		t.Fatalf("client accepted an underived MASK p within the gamma bound: %v", err)
+	}
+}
+
 // TestSchemeStatePersistence: a store-backed server restarts with its
 // records under every scheme, across a shard-count change, and a store
 // written under one scheme can never boot a server running another.

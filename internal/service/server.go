@@ -95,17 +95,21 @@ type Server struct {
 	persistStop     chan struct{}
 	persistDone     chan struct{}
 	closeOnce       sync.Once
-	// windowed marks a sliding-window collection (WithWindow): its
-	// counter implements mining.WindowView, serves `window` query/mine
-	// parameters, and refuses durability and federation (expiry is
-	// wall-clock-defined and cannot be replayed or replicated).
-	windowed bool
+	// window is the bucket ring of a sliding-window collection
+	// (WithWindow), nil on any other server. It is also the server's
+	// counter — never swapped, since a windowed collection cannot be
+	// federated — and serves the `window` query/mine parameters.
+	window *mining.WindowedCounter
 	// start is when NewServer ran — the anchor for /v1/stats uptime and
 	// the uptime gauge.
 	start time.Time
 	// met, when set (WithTelemetry), holds the operational instruments
 	// and the middleware that records them; see telemetry.go.
 	met *serverMetrics
+	// handler is the HTTP API, built by the first Handler call: the
+	// registry asks for it on every routed request.
+	handlerOnce sync.Once
+	handler     http.Handler
 }
 
 // counterRef pairs a counter with the cache generation it belongs to
@@ -237,12 +241,15 @@ func NewServer(schema *dataset.Schema, spec core.PrivacySpec, opts ...Option) (*
 	// recovered counter carries its pre-crash replication identity so
 	// federation pullers resume incrementally. A windowed server instead
 	// builds the in-memory bucket ring.
-	var counter mining.LiveCounter
+	var (
+		counter mining.LiveCounter
+		window  *mining.WindowedCounter
+	)
 	if windowed {
-		counter, err = mining.NewWindowedCounter(scheme, cfg.shards, cfg.windowBuckets, cfg.windowBucket)
-		if err != nil {
+		if window, err = mining.NewWindowedCounter(scheme, cfg.shards, cfg.windowBuckets, cfg.windowBucket); err != nil {
 			return nil, err
 		}
+		counter = window
 	} else if cfg.store != nil {
 		// The observer must be installed before Recover so the recovery
 		// outcome itself is observed.
@@ -274,7 +281,7 @@ func NewServer(schema *dataset.Schema, spec core.PrivacySpec, opts ...Option) (*
 	if cfg.maxBody <= 0 {
 		cfg.maxBody = defaultMaxBody
 	}
-	s := &Server{schema: schema, spec: spec, gamma: gamma, scheme: scheme, queryLimit: cfg.queryLimit, maxBody: cfg.maxBody, windowed: windowed, start: time.Now(), met: met}
+	s := &Server{schema: schema, spec: spec, gamma: gamma, scheme: scheme, queryLimit: cfg.queryLimit, maxBody: cfg.maxBody, window: window, start: time.Now(), met: met}
 	if g, ok := scheme.(*mining.GammaScheme); ok {
 		s.matrix = g.Matrix()
 	}
@@ -342,15 +349,15 @@ func (s *Server) CounterScheme() mining.CounterScheme { return s.scheme }
 
 // Windowed reports whether this server's collection is a sliding
 // window (WithWindow).
-func (s *Server) Windowed() bool { return s.windowed }
+func (s *Server) Windowed() bool { return s.window != nil }
 
 // WindowSpec returns the sliding-window ring geometry — (0, 0) on an
 // unwindowed server.
 func (s *Server) WindowSpec() (buckets int, bucket time.Duration) {
-	if wv, ok := s.ctr().(mining.WindowView); ok {
-		return wv.WindowSpec()
+	if s.window == nil {
+		return 0, 0
 	}
-	return 0, 0
+	return s.window.WindowSpec()
 }
 
 // N returns the number of submissions received so far.
@@ -379,10 +386,16 @@ func (s *Server) MineWorkers() int { return s.jobs.workers }
 // tests assert on.
 func (s *Server) AprioriRuns() int64 { return s.jobs.runs.Load() }
 
-// Handler returns the HTTP API. With telemetry enabled every route is
-// wrapped in the RED-metrics/access-log middleware at construction, so
-// the route label is always the registered pattern — never the raw URL.
+// Handler returns the HTTP API, the same handler on every call. With
+// telemetry enabled every route is wrapped in the RED-metrics/access-log
+// middleware when the first call builds it, so the route label is
+// always the registered pattern — never the raw URL.
 func (s *Server) Handler() http.Handler {
+	s.handlerOnce.Do(func() { s.handler = s.buildHandler() })
+	return s.handler
+}
+
+func (s *Server) buildHandler() http.Handler {
 	mux := http.NewServeMux()
 	handle := func(pattern string, h http.HandlerFunc) {
 		if s.met != nil {
@@ -444,7 +457,7 @@ func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
 	resp := SchemaResponse{
 		Name:    s.schema.Name,
 		Privacy: PrivacyJSON{Rho1: s.spec.Rho1, Rho2: s.spec.Rho2, Gamma: s.gamma},
-		Scheme:  s.schemeJSON(),
+		Scheme:  schemeJSON(s.scheme),
 	}
 	for _, a := range s.schema.Attrs {
 		resp.Attributes = append(resp.Attributes, AttributeJSON{Name: a.Name, Categories: a.Categories})
@@ -452,10 +465,12 @@ func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// schemeJSON renders the active scheme contract for the wire.
-func (s *Server) schemeJSON() SchemeJSON {
-	out := SchemeJSON{Name: s.scheme.Name()}
-	switch sc := s.scheme.(type) {
+// schemeJSON renders a scheme contract for the wire — the one renderer
+// the server advertises with and the client checks advertisements
+// against.
+func schemeJSON(scheme mining.CounterScheme) SchemeJSON {
+	out := SchemeJSON{Name: scheme.Name()}
+	switch sc := scheme.(type) {
 	case *mining.MaskCounterScheme:
 		out.MaskP = sc.Mask().P
 	case *mining.CutPasteCounterScheme:
@@ -928,78 +943,65 @@ func (s *Server) executeMine(p MineParams) (*MineResponse, uint64, bool, error) 
 	// line (which restarts and would otherwise collide with the old
 	// counter's cached versions).
 	ref := s.counter.Load()
-	counter, gen := ref.counter, ref.gen
-	// A window restriction is only meaningful on a windowed collection.
 	// The parsed duration (not the request spelling) keys the cache, so
 	// "60m" and "1h" share one entry; a windowed counter bumps its
 	// version on every ring rotation, so equal (generation, version)
 	// implies the same bucket union for every window and the cache
 	// discipline below carries over unchanged.
-	window, err := p.windowDuration()
+	window, err := s.windowOf(p.Window, "mine without the window parameter")
 	if err != nil {
 		return nil, 0, false, err
 	}
-	var wv mining.WindowView
-	if window > 0 {
-		var ok bool
-		if wv, ok = counter.(mining.WindowView); !ok {
-			return nil, 0, false, fmt.Errorf("%w: collection is not windowed; mine without the window parameter", ErrService)
-		}
-	}
-	key := mineKey{gen: gen, version: counter.Version(), minsup: p.MinSupport, scheme: s.scheme.Name(), maxlen: p.MaxLen, window: window}
-	if e := s.jobs.cacheGet(key); e != nil {
+	key := mineKey{gen: ref.gen, version: ref.counter.Version(), minsup: p.MinSupport, maxlen: p.MaxLen, window: window}
+	entry := s.jobs.cacheGet(key)
+	cached := entry != nil
+	if cached {
 		if s.met != nil {
 			s.met.jobs.cacheHits.Inc()
 		}
-		resp, err := s.renderMine(e.result, e.records, p)
-		if err != nil {
-			return nil, key.version, false, err
-		}
-		resp.SnapshotVersion = key.version
-		resp.Cached = true
-		resp.VersionVector = ref.vector
-		return resp, key.version, true, nil
-	}
-	// Mine a frozen snapshot so every Apriori pass sees one consistent
-	// record count even while submissions keep arriving. A windowed mine
-	// folds only the requested bucket suffix of the ring.
-	var (
-		snapshot mining.SupportCounter
-		version  uint64
-	)
-	if window > 0 {
-		snapshot, version = wv.SnapshotWindowVersioned(window)
 	} else {
-		snapshot, version = counter.SnapshotVersioned()
-	}
-	n := snapshot.N()
-	if n == 0 {
-		if window > 0 {
-			return nil, version, false, fmt.Errorf("%w (no records in the last %s)", errNoSubmissions, p.Window)
+		// Mine a frozen snapshot so every Apriori pass sees one consistent
+		// record count even while submissions keep arriving.
+		snapshot, version := s.snapshot(ref.counter, window)
+		n := snapshot.N()
+		if n == 0 {
+			return nil, version, false, errEmpty(p.Window)
 		}
-		return nil, version, false, errNoSubmissions
+		res, err := mining.AprioriWithOptions(snapshot, p.MinSupport, mining.Options{CandidateRelaxation: 1, MaxLen: p.MaxLen})
+		if err != nil {
+			return nil, version, false, err
+		}
+		s.jobs.runs.Add(1)
+		if s.met != nil {
+			s.met.jobs.cacheMiss.Inc()
+		}
+		// Adopt the canonical entry: if another worker raced us to the
+		// same key (both snapshots valid for this version, possibly with a
+		// few more folded-in records each), the first store wins and every
+		// job reporting this (generation, version, params) returns its
+		// result.
+		key.version = version
+		entry = s.jobs.cachePut(key, &cacheEntry{records: n, result: res})
 	}
-	res, err := mining.AprioriWithOptions(snapshot, p.MinSupport, mining.Options{CandidateRelaxation: 1, MaxLen: p.MaxLen})
-	if err != nil {
-		return nil, version, false, err
-	}
-	s.jobs.runs.Add(1)
-	if s.met != nil {
-		s.met.jobs.cacheMiss.Inc()
-	}
-	// Adopt the canonical entry: if another worker raced us to the same
-	// key (both snapshots valid for this version, possibly with a few
-	// more folded-in records each), the first store wins and every job
-	// reporting this (generation, version, params) returns its result.
-	entry := s.jobs.cachePut(mineKey{gen: gen, version: version, minsup: p.MinSupport, scheme: s.scheme.Name(), maxlen: p.MaxLen, window: window},
-		&cacheEntry{records: n, result: res})
 	resp, err := s.renderMine(entry.result, entry.records, p)
 	if err != nil {
-		return nil, version, false, err
+		return nil, key.version, false, err
 	}
-	resp.SnapshotVersion = version
+	resp.SnapshotVersion = key.version
+	resp.Cached = cached
 	resp.VersionVector = ref.vector
-	return resp, version, false, nil
+	return resp, key.version, cached, nil
+}
+
+// snapshot is the mining path's one read: a frozen, minable fold of the
+// collection — on a windowed server, of its newest ceil(window/bucket)
+// ring buckets (window 0 = the full ring) — with the version it is
+// exact for.
+func (s *Server) snapshot(counter mining.LiveCounter, window time.Duration) (mining.SupportCounter, uint64) {
+	if s.window != nil {
+		return s.window.SnapshotWindowVersioned(window)
+	}
+	return counter.SnapshotVersioned()
 }
 
 // renderMine converts a (possibly cached, therefore read-only) mining

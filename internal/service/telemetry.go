@@ -63,10 +63,9 @@ type reqKey struct {
 	wire  string
 }
 
-// serverMetrics bundles every instrument the server updates inline.
-// Scrape-time callbacks (queue depth, uptime, checkpoint age) are
-// registered in wire* methods against the subsystems' own state.
-type serverMetrics struct {
+// httpMetrics is the HTTP middleware's state (see wrap): the RED
+// instruments and the access log.
+type httpMetrics struct {
 	reg *telemetry.Registry
 	log *slog.Logger
 	// collection, when non-empty, is prefixed as a `collection` label
@@ -76,21 +75,39 @@ type serverMetrics struct {
 	inflight *telemetry.Gauge
 	reqMu    sync.RWMutex
 	requests map[reqKey]*telemetry.Counter
+}
 
+func (m *httpMetrics) init(reg *telemetry.Registry, accessLog *slog.Logger, collection string) {
+	m.reg, m.log, m.collection = reg, accessLog, collection
+	m.requests = make(map[reqKey]*telemetry.Counter)
+	m.inflight = reg.Gauge("frapp_http_requests_inflight",
+		"HTTP requests currently being handled.", m.lbl()...)
+}
+
+// Instrument returns the server's HTTP middleware for routes served
+// outside any Server — the registry's collection lifecycle routes. A
+// wrapped route gets the frapp_http_* series and, with accessLog set,
+// one access line per request, both under its route pattern and
+// without a collection label.
+func Instrument(reg *telemetry.Registry, accessLog *slog.Logger) func(pattern string, h http.HandlerFunc) http.HandlerFunc {
+	m := &httpMetrics{}
+	m.init(reg, accessLog, "")
+	return m.wrap
+}
+
+// serverMetrics bundles every instrument the server updates inline.
+// Scrape-time callbacks (queue depth, uptime, checkpoint age) are
+// registered in wire* methods against the subsystems' own state.
+type serverMetrics struct {
+	httpMetrics
 	jobs     jobMetrics
 	ingest   ingestObserver
 	storeObs storeObserver
 }
 
 func newServerMetrics(reg *telemetry.Registry, accessLog *slog.Logger, collection string) *serverMetrics {
-	m := &serverMetrics{
-		reg:        reg,
-		log:        accessLog,
-		collection: collection,
-		requests:   make(map[reqKey]*telemetry.Counter),
-	}
-	m.inflight = reg.Gauge("frapp_http_requests_inflight",
-		"HTTP requests currently being handled.", m.lbl()...)
+	m := &serverMetrics{}
+	m.init(reg, accessLog, collection)
 	m.jobs.register(reg, m.lbl())
 	m.ingest.register(reg, m.lbl())
 	m.storeObs.register(reg, m.lbl())
@@ -99,7 +116,7 @@ func newServerMetrics(reg *telemetry.Registry, accessLog *slog.Logger, collectio
 
 // lbl prepends the collection label (when set) to extra. Registration
 // sites only — never on the per-request hot path.
-func (m *serverMetrics) lbl(extra ...telemetry.Label) []telemetry.Label {
+func (m *httpMetrics) lbl(extra ...telemetry.Label) []telemetry.Label {
 	if m.collection == "" {
 		return extra
 	}
@@ -112,7 +129,7 @@ func (m *serverMetrics) lbl(extra ...telemetry.Label) []telemetry.Label {
 // combination. The read path is a lock-free-ish RLock + struct-keyed
 // map hit; only the first request of a new combination takes the write
 // lock and the registry lock.
-func (m *serverMetrics) requestCounter(route, code, wire string) *telemetry.Counter {
+func (m *httpMetrics) requestCounter(route, code, wire string) *telemetry.Counter {
 	k := reqKey{route: route, code: code, wire: wire}
 	m.reqMu.RLock()
 	c := m.requests[k]
@@ -204,7 +221,7 @@ func wireForm(r *http.Request) string {
 // stripped) — a closed operator vocabulary, never the raw request URL,
 // so un-matched paths can't mint series and path segments carrying
 // values (job ids) never become labels.
-func (m *serverMetrics) wrap(pattern string, next http.HandlerFunc) http.HandlerFunc {
+func (m *httpMetrics) wrap(pattern string, next http.HandlerFunc) http.HandlerFunc {
 	route := pattern
 	if i := strings.IndexByte(pattern, ' '); i >= 0 {
 		route = pattern[i+1:]

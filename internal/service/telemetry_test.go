@@ -295,6 +295,28 @@ func TestTelemetryMiddlewareRecords(t *testing.T) {
 	}
 }
 
+// TestHandlerBuiltOnce: the registry asks a server for its handler on
+// every routed request, so Handler must return the one handler its
+// first call built — and register the route histograms then, not when
+// the server is constructed.
+func TestHandlerBuiltOnce(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	srv, err := NewServer(wireSchema(t), core.PrivacySpec{Rho1: 0.05, Rho2: 0.50},
+		WithShards(2), WithTelemetry(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for _, f := range reg.Families() {
+		if f == "frapp_http_request_duration_seconds" {
+			t.Fatal("route histograms registered before the first Handler call")
+		}
+	}
+	if h := srv.Handler(); h != srv.Handler() {
+		t.Fatal("two Handler calls returned different handlers")
+	}
+}
+
 // nullWriter is a reusable ResponseWriter for alloc measurements: the
 // header map is allocated once and response bytes are discarded.
 type nullWriter struct {
