@@ -127,17 +127,16 @@ func (r *Registry) handlePut(w http.ResponseWriter, req *http.Request) {
 	writeJSON(w, status, col.info())
 }
 
-// putErrorStatus maps Create failures onto HTTP statuses by message
-// shape: conflicts and caps are the caller's state to resolve, the
+// putErrorStatus maps Create failures onto HTTP statuses by error
+// identity: conflicts and caps are the caller's state to resolve, the
 // rest are bad specs.
 func putErrorStatus(err error) int {
-	msg := err.Error()
 	switch {
-	case strings.Contains(msg, "already exists"), strings.Contains(msg, "flag-configured"):
+	case errors.Is(err, errConflict):
 		return http.StatusConflict
-	case strings.Contains(msg, "limit"), strings.Contains(msg, "budget"):
+	case errors.Is(err, errCapacity):
 		return http.StatusForbidden
-	case strings.Contains(msg, "registry is closed"):
+	case errors.Is(err, errClosed):
 		return http.StatusServiceUnavailable
 	default:
 		return http.StatusBadRequest

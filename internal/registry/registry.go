@@ -50,6 +50,15 @@ import (
 // ErrRegistry marks every error produced by this package.
 var ErrRegistry = errors.New("registry")
 
+// Create's refusals that are not a bad spec, each told apart by
+// identity (errors.Is) for its HTTP status. They wrap ErrRegistry and
+// read like it, so their messages keep the "registry: " prefix.
+var (
+	errConflict = fmt.Errorf("%w", ErrRegistry) // the name is taken or flag-configured
+	errCapacity = fmt.Errorf("%w", ErrRegistry) // collection limit or name budget reached
+	errClosed   = fmt.Errorf("%w", ErrRegistry) // the registry is shutting down
+)
+
 // DefaultCollection is the name the legacy un-prefixed routes alias.
 const DefaultCollection = "default"
 
@@ -397,24 +406,24 @@ func (r *Registry) register(name string, spec CollectionSpec) (col *Collection, 
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
-		return nil, false, fmt.Errorf("%w: registry is closed", ErrRegistry)
+		return nil, false, fmt.Errorf("%w: registry is closed", errClosed)
 	}
 	if existing, ok := r.collections[name]; ok {
 		if existing.adopted {
-			return nil, false, fmt.Errorf("%w: collection %q is flag-configured; manage it via server flags", ErrRegistry, name)
+			return nil, false, fmt.Errorf("%w: collection %q is flag-configured; manage it via server flags", errConflict, name)
 		}
 		if existing.spec.key() == spec.key() {
 			return existing, false, nil
 		}
-		return nil, false, fmt.Errorf("%w: collection %q already exists with a different spec", ErrRegistry, name)
+		return nil, false, fmt.Errorf("%w: collection %q already exists with a different spec", errConflict, name)
 	}
 	if len(r.collections) >= r.maxCols {
-		return nil, false, fmt.Errorf("%w: collection limit %d reached", ErrRegistry, r.maxCols)
+		return nil, false, fmt.Errorf("%w: collection limit %d reached", errCapacity, r.maxCols)
 	}
 	// The telemetry label vocabulary is append-only across churn; cap it
 	// so delete/create cycles cannot grow series without bound.
 	if !r.everNamed[name] && len(r.everNamed) >= 4*r.maxCols {
-		return nil, false, fmt.Errorf("%w: lifetime collection-name budget %d exhausted (reuse a previous name or restart)", ErrRegistry, 4*r.maxCols)
+		return nil, false, fmt.Errorf("%w: lifetime collection-name budget %d exhausted (reuse a previous name or restart)", errCapacity, 4*r.maxCols)
 	}
 	col = &Collection{name: name, spec: spec, ready: make(chan struct{})}
 	r.collections[name] = col

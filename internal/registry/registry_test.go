@@ -208,6 +208,27 @@ func TestCollectionLifecycleHTTP(t *testing.T) {
 	}
 }
 
+// TestPutStatusIgnoresSpecText: a bad spec is a 400 even when its own
+// text holds the words of a conflict or a cap ("limit", "already
+// exists"), since the PUT status follows the error's identity.
+func TestPutStatusIgnoresSpecText(t *testing.T) {
+	_, ts := startRegistry(t, Options{})
+	dup := testSpec()
+	dup.Schema = &SchemaSpec{Name: "dup", Attrs: []dataset.Attribute{
+		{Name: "limit", Categories: []string{"x", "y"}},
+		{Name: "limit", Categories: []string{"x", "y"}},
+	}}
+	putCollection(t, ts, "dup", dup, http.StatusBadRequest)
+	win := testSpec()
+	win.WindowBuckets = 2
+	win.WindowBucket = "nolimit"
+	putCollection(t, ts, "win", win, http.StatusBadRequest)
+	named := testSpec()
+	named.WindowBuckets = 2
+	named.WindowBucket = "already exists"
+	putCollection(t, ts, "named", named, http.StatusBadRequest)
+}
+
 // TestAdoptedDefaultServesLegacyRoutes: an adopted server answers both
 // the un-prefixed legacy routes and the path-scoped form, identically.
 func TestAdoptedDefaultServesLegacyRoutes(t *testing.T) {

@@ -3,7 +3,6 @@ package service
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,6 +11,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -76,17 +76,10 @@ func NewClient(baseURL string, opts ...ClientOption) (*Client, error) {
 	if cfg.randomization < 0 || cfg.randomization > 1 {
 		return nil, fmt.Errorf("%w: randomization fraction %v", ErrService, cfg.randomization)
 	}
-	resp, err := send(cfg.httpClient, http.MethodGet, baseURL+"/v1/schema", nil, nil)
-	if err != nil {
-		return nil, fmt.Errorf("service: fetching schema: %w", err)
-	}
-	defer drain(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%w: schema fetch returned %s", ErrService, resp.Status)
-	}
+	c := &Client{base: baseURL, http: cfg.httpClient}
 	var sr SchemaResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		return nil, fmt.Errorf("%w: bad schema response: %v", ErrService, err)
+	if err := c.call(http.MethodGet, "/v1/schema", nil, nil, http.StatusOK, "schema fetch", &sr); err != nil {
+		return nil, err
 	}
 	attrs := make([]dataset.Attribute, len(sr.Attributes))
 	for i, a := range sr.Attributes {
@@ -103,12 +96,7 @@ func NewClient(baseURL string, opts ...ClientOption) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{
-		base:   baseURL,
-		http:   cfg.httpClient,
-		schema: schema,
-		gamma:  gamma,
-	}
+	c.schema, c.gamma = schema, gamma
 	// Responses from pre-scheme servers carry no scheme block; that is
 	// the gamma default.
 	advertised := sr.Scheme
@@ -236,15 +224,7 @@ func (c *Client) Submit(rec dataset.Record, rng *rand.Rand) error {
 	if err != nil {
 		return err
 	}
-	resp, err := send(c.http, http.MethodPost, c.base+"/v1/submit", body, jsonContent)
-	if err != nil {
-		return err
-	}
-	defer drain(resp.Body)
-	if resp.StatusCode != http.StatusAccepted {
-		return fmt.Errorf("%w: submit returned %s", ErrService, resp.Status)
-	}
-	return nil
+	return c.call(http.MethodPost, "/v1/submit", body, jsonContent, http.StatusAccepted, "submit", nil)
 }
 
 // SubmitBatch perturbs and submits many records in one request.
@@ -346,32 +326,16 @@ func (c *Client) SubmitPrepared(p *PreparedBatch) error {
 	if p.fingerprint != "" {
 		header.Set(FingerprintHeader, p.fingerprint)
 	}
-	resp, err := send(c.http, http.MethodPost, c.base+"/v1/submit-batch", p.body, header)
-	if err != nil {
-		return err
-	}
-	defer drain(resp.Body)
-	if resp.StatusCode != http.StatusAccepted {
-		return fmt.Errorf("%w: batch submit returned %s", ErrService, resp.Status)
-	}
-	return nil
+	return c.call(http.MethodPost, "/v1/submit-batch", p.body, header, http.StatusAccepted, "batch submit", nil)
 }
 
 // Mine queries the server's reconstructed mining model synchronously
 // (the server runs the request through its job pool and awaits it).
 func (c *Client) Mine(minsup, minconf float64, limit int) (*MineResponse, error) {
-	url := fmt.Sprintf("%s/v1/mine?minsup=%g&minconf=%g&limit=%d", c.base, minsup, minconf, limit)
-	resp, err := send(c.http, http.MethodGet, url, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	defer drain(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%w: mine returned %s", ErrService, resp.Status)
-	}
+	path := fmt.Sprintf("/v1/mine?minsup=%g&minconf=%g&limit=%d", minsup, minconf, limit)
 	var mr MineResponse
-	if err := json.NewDecoder(resp.Body).Decode(&mr); err != nil {
-		return nil, fmt.Errorf("%w: bad mine response: %v", ErrService, err)
+	if err := c.call(http.MethodGet, path, nil, nil, http.StatusOK, "mine", &mr); err != nil {
+		return nil, err
 	}
 	return &mr, nil
 }
@@ -380,7 +344,8 @@ func (c *Client) Mine(minsup, minconf float64, limit int) (*MineResponse, error)
 // the server refused to take on the work right now (a full mine-job
 // queue answering 503). Callers generating load distinguish this from
 // hard failures — backpressure under overload is the server working as
-// designed, not an error in either party.
+// designed, not an error in either party. Only SubmitMineJob returns
+// it; a 503 on any other call is a failure.
 var ErrBusy = errors.New("service: server busy")
 
 // SubmitMineJob enqueues an asynchronous mining job and returns its
@@ -391,54 +356,31 @@ func (c *Client) SubmitMineJob(p MineParams) (*JobResponse, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp, err := send(c.http, http.MethodPost, c.base+"/v1/mine-jobs", body, jsonContent)
+	var jr JobResponse
+	err = c.call(http.MethodPost, "/v1/mine-jobs", body, jsonContent, http.StatusAccepted, "mine-job submit", &jr)
+	if se := (*statusError)(nil); errors.As(err, &se) && se.code == http.StatusServiceUnavailable {
+		return nil, fmt.Errorf("%w: %w", ErrBusy, err)
+	}
 	if err != nil {
 		return nil, err
-	}
-	defer drain(resp.Body)
-	if resp.StatusCode == http.StatusServiceUnavailable {
-		return nil, fmt.Errorf("%w: mine-job submit returned %s", ErrBusy, resp.Status)
-	}
-	if resp.StatusCode != http.StatusAccepted {
-		return nil, fmt.Errorf("%w: mine-job submit returned %s", ErrService, resp.Status)
-	}
-	var jr JobResponse
-	if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
-		return nil, fmt.Errorf("%w: bad mine-job response: %v", ErrService, err)
 	}
 	return &jr, nil
 }
 
 // MineJob polls one job by id; done jobs include the full result.
 func (c *Client) MineJob(id string) (*JobResponse, error) {
-	resp, err := send(c.http, http.MethodGet, c.base+"/v1/mine-jobs/"+url.PathEscape(id), nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	defer drain(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%w: mine-job %s returned %s", ErrService, id, resp.Status)
-	}
 	var jr JobResponse
-	if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
-		return nil, fmt.Errorf("%w: bad mine-job response: %v", ErrService, err)
+	if err := c.call(http.MethodGet, "/v1/mine-jobs/"+url.PathEscape(id), nil, nil, http.StatusOK, "mine-job "+id, &jr); err != nil {
+		return nil, err
 	}
 	return &jr, nil
 }
 
 // MineJobs lists all retained jobs (without result payloads).
 func (c *Client) MineJobs() ([]JobResponse, error) {
-	resp, err := send(c.http, http.MethodGet, c.base+"/v1/mine-jobs", nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	defer drain(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%w: mine-job list returned %s", ErrService, resp.Status)
-	}
 	var jrs []JobResponse
-	if err := json.NewDecoder(resp.Body).Decode(&jrs); err != nil {
-		return nil, fmt.Errorf("%w: bad mine-job list: %v", ErrService, err)
+	if err := c.call(http.MethodGet, "/v1/mine-jobs", nil, nil, http.StatusOK, "mine-job list", &jrs); err != nil {
+		return nil, err
 	}
 	return jrs, nil
 }
@@ -507,17 +449,9 @@ func (c *Client) QueryWindow(filters []QueryFilter, window string) (*QueryRespon
 	if err != nil {
 		return nil, err
 	}
-	resp, err := send(c.http, http.MethodPost, c.base+"/v1/query", body, jsonContent)
-	if err != nil {
-		return nil, err
-	}
-	defer drain(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%w: query returned %s", ErrService, resp.Status)
-	}
 	var qr QueryResponse
-	if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
-		return nil, fmt.Errorf("%w: bad query response: %v", ErrService, err)
+	if err := c.call(http.MethodPost, "/v1/query", body, jsonContent, http.StatusOK, "query", &qr); err != nil {
+		return nil, err
 	}
 	if len(qr.Estimates) != len(filters) {
 		return nil, fmt.Errorf("%w: query returned %d estimates for %d filters", ErrService, len(qr.Estimates), len(filters))
@@ -532,29 +466,6 @@ func (c *Client) Query(filter QueryFilter) (QueryEstimate, error) {
 		return QueryEstimate{}, err
 	}
 	return qr.Estimates[0], nil
-}
-
-// Replicate pulls one counter delta from the server — the client side
-// of GET /v1/replicate. since is the stream position a previous pull's
-// ToVersion reported (0 for first contact) and gen the counter
-// generation it was reported under; the server falls back to a full
-// delta whenever the pair no longer chains. Mostly used by federation
-// coordinators (internal/federation); exposed here so external tooling
-// can mirror a site's privacy-safe counts too.
-func (c *Client) Replicate(since, gen uint64) (*mining.CounterDelta, error) {
-	resp, err := send(c.http, http.MethodGet, fmt.Sprintf("%s/v1/replicate?since=%d&gen=%d", c.base, since, gen), nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	defer drain(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%w: replicate returned %s", ErrService, resp.Status)
-	}
-	var d mining.CounterDelta
-	if err := gob.NewDecoder(io.LimitReader(resp.Body, mining.MaxDeltaWireBytes)).Decode(&d); err != nil {
-		return nil, fmt.Errorf("%w: bad replicate payload: %v", ErrService, err)
-	}
-	return &d, nil
 }
 
 // FederationStats queries the federation health block of /v1/stats —
@@ -573,20 +484,56 @@ func (c *Client) FederationStats() (*federation.Stats, error) {
 
 // Stats queries the collection state.
 func (c *Client) Stats() (*StatsResponse, error) {
-	resp, err := send(c.http, http.MethodGet, c.base+"/v1/stats", nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	defer drain(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%w: stats returned %s", ErrService, resp.Status)
-	}
 	var sr StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		return nil, fmt.Errorf("%w: bad stats response: %v", ErrService, err)
+	if err := c.call(http.MethodGet, "/v1/stats", nil, nil, http.StatusOK, "stats", &sr); err != nil {
+		return nil, err
 	}
 	return &sr, nil
 }
+
+// call is the client's one request path: it sends one request to
+// c.base+path, checks the answer's status against want, and decodes a
+// JSON answer into out (nil: none). Any other status is an error
+// wrapping ErrService that names what was asked, the status and the
+// server's reason: the "error" field of a JSON error body, or else the
+// body's text, read up to maxReasonBytes.
+func (c *Client) call(method, path string, body []byte, header http.Header, want int, what string, out any) error {
+	resp, err := send(c.http, method, c.base+path, body, header)
+	if err != nil {
+		return fmt.Errorf("service: %s: %w", what, err)
+	}
+	defer drain(resp.Body)
+	if resp.StatusCode != want {
+		err := fmt.Errorf("%w: %s returned %s", ErrService, what, resp.Status)
+		raw, _ := io.ReadAll(io.LimitReader(resp.Body, maxReasonBytes))
+		var e struct{ Error string }
+		if json.Unmarshal(raw, &e) != nil || e.Error == "" {
+			e.Error = strings.TrimSpace(string(raw))
+		}
+		if e.Error != "" {
+			err = fmt.Errorf("%w: %s", err, e.Error)
+		}
+		return &statusError{code: resp.StatusCode, err: err}
+	}
+	if out != nil {
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			return fmt.Errorf("%w: bad %s response: %v", ErrService, what, err)
+		}
+	}
+	return nil
+}
+
+// maxReasonBytes caps how much of an error answer call reads.
+const maxReasonBytes = 4 << 10
+
+// statusError is call's error for an answer other than the wanted one.
+type statusError struct {
+	code int
+	err  error
+}
+
+func (e *statusError) Error() string { return e.err.Error() }
+func (e *statusError) Unwrap() error { return e.err }
 
 // jsonContent is the header of every JSON request body.
 var jsonContent = http.Header{"Content-Type": {"application/json"}}

@@ -49,9 +49,10 @@ func (p *MineParams) applyDefaults() {
 	}
 }
 
-// validate checks ranges without touching values. A window on a
-// collection that is not windowed passes here and fails the job when
-// it runs (executeMine).
+// validate checks ranges without touching values. The window is left
+// to Server.windowOf, which both mining handlers call next: it also
+// refuses a window on a collection that is not windowed, before
+// anything is enqueued.
 func (p MineParams) validate() error {
 	if !(p.MinSupport > 0 && p.MinSupport <= 1) {
 		return fmt.Errorf("%w: minsup %v not in (0,1]", ErrService, p.MinSupport)
@@ -65,8 +66,7 @@ func (p MineParams) validate() error {
 	if p.MaxLen < 0 {
 		return fmt.Errorf("%w: negative maxlen %d", ErrService, p.MaxLen)
 	}
-	_, err := parseWindow(p.Window)
-	return err
+	return nil
 }
 
 const (

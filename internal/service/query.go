@@ -241,10 +241,12 @@ func (s *Server) estimates(counter mining.LiveCounter, filters []mining.Itemset,
 	return ests, n, version, err
 }
 
-// parseWindow is the one parser of a request's window parameter, for
-// /v1/query and mining jobs alike: "" means the whole collection (0),
-// anything else must be a positive Go duration.
-func parseWindow(raw string) (time.Duration, error) {
+// windowOf is the one parser of a request's window parameter, for
+// /v1/query and both mining routes: "" means the whole collection (0),
+// anything else must be a positive Go duration, and only a windowed
+// collection takes one; remedy ends that refusal with what the client
+// should send instead.
+func (s *Server) windowOf(raw, remedy string) (time.Duration, error) {
 	if raw == "" {
 		return 0, nil
 	}
@@ -255,19 +257,14 @@ func parseWindow(raw string) (time.Duration, error) {
 	if window <= 0 {
 		return 0, fmt.Errorf("%w: window %q must be positive", ErrService, raw)
 	}
+	if s.window == nil {
+		return 0, fmt.Errorf("%w: collection is not windowed; %s", ErrService, remedy)
+	}
 	return window, nil
 }
 
-// windowOf parses a request's window and refuses one on a collection
-// that is not windowed; remedy ends that message with what the client
-// should send instead.
-func (s *Server) windowOf(raw, remedy string) (time.Duration, error) {
-	window, err := parseWindow(raw)
-	if err == nil && window > 0 && s.window == nil {
-		return 0, fmt.Errorf("%w: collection is not windowed; %s", ErrService, remedy)
-	}
-	return window, err
-}
+// mineRemedy ends the not-windowed refusal of a windowed mine.
+const mineRemedy = "mine without the window parameter"
 
 // errEmpty is the 409 of a read that found no records; a windowed
 // request names its window.

@@ -43,17 +43,10 @@ func submitN(t *testing.T, srv *Server, url string, rng *rand.Rand, n int) {
 
 func TestReplicateFullAndIncremental(t *testing.T) {
 	srv, ts := startServer(t)
-	client, err := NewClient(ts.URL, WithHTTPClient(ts.Client()))
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(1))
 	submitN(t, srv, ts.URL, rng, 15)
 
-	d1, err := client.Replicate(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d1 := pullDelta(t, ts, 0, 0)
 	if !d1.Full() || d1.Records != 15 {
 		t.Fatalf("first pull: full=%v records=%d", d1.Full(), d1.Records)
 	}
@@ -62,10 +55,7 @@ func TestReplicateFullAndIncremental(t *testing.T) {
 	}
 
 	submitN(t, srv, ts.URL, rng, 7)
-	d2, err := client.Replicate(d1.ToVersion, d1.Generation)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d2 := pullDelta(t, ts, d1.ToVersion, d1.Generation)
 	if d2.Full() {
 		t.Fatal("second pull fell back to full despite retained baseline")
 	}
@@ -91,17 +81,10 @@ func TestReplicateFullAndIncremental(t *testing.T) {
 
 func TestReplicateGenerationMismatchForcesFull(t *testing.T) {
 	srv, ts := startServer(t)
-	client, err := NewClient(ts.URL, WithHTTPClient(ts.Client()))
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(2))
 	submitN(t, srv, ts.URL, rng, 10)
 
-	d1, err := client.Replicate(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d1 := pullDelta(t, ts, 0, 0)
 	// Copy, add more, swap the copy back in: the counter object is
 	// replaced, its version line restarts, and its generation bumps.
 	restored := counterCopy(t, srv)
@@ -110,10 +93,7 @@ func TestReplicateGenerationMismatchForcesFull(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d2, err := client.Replicate(d1.ToVersion, d1.Generation)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d2 := pullDelta(t, ts, d1.ToVersion, d1.Generation)
 	if !d2.Full() {
 		t.Fatal("post-restore pull chained incrementally across generations")
 	}

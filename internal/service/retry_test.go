@@ -1,11 +1,16 @@
 package service
 
 import (
+	"context"
 	"errors"
+	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
@@ -84,5 +89,66 @@ func TestClientDoesNotRetryBareBusy(t *testing.T) {
 	}
 	if n := calls.Load(); n != 1 {
 		t.Fatalf("%d requests, want no retry", n)
+	}
+}
+
+// TestClientErrorsCarryReason: every Client call that meets an error
+// answer returns an error wrapping ErrService that carries the server's
+// reason (a JSON error body's "error" field, or a plain body's text),
+// and only SubmitMineJob's 503 (a full job queue) is ErrBusy.
+func TestClientErrorsCarryReason(t *testing.T) {
+	srv, ts := startServer(t)
+	good := wireClient(t, ts)
+	recs := wireRecords(good.Schema(), 3, 1)
+	prepared, err := good.PrepareBatch(recs, rand.New(rand.NewSource(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	calls := []struct {
+		name string
+		call func(c *Client) error
+	}{
+		{"NewClient", func(c *Client) error { _, err := NewClient(c.base); return err }},
+		{"Submit", func(c *Client) error { return c.Submit(recs[0], rand.New(rand.NewSource(3))) }},
+		{"SubmitBatch", func(c *Client) error { return c.SubmitBatch(recs, rand.New(rand.NewSource(4))) }},
+		{"SubmitPrepared", func(c *Client) error { return c.SubmitPrepared(prepared) }},
+		{"Mine", func(c *Client) error { _, err := c.Mine(0.1, 0.5, 10); return err }},
+		{"SubmitMineJob", func(c *Client) error { _, err := c.SubmitMineJob(MineParams{MinSupport: 0.1}); return err }},
+		{"MineJob", func(c *Client) error { _, err := c.MineJob("j1"); return err }},
+		{"MineJobs", func(c *Client) error { _, err := c.MineJobs(); return err }},
+		{"AwaitMineJob", func(c *Client) error { _, err := c.AwaitMineJob(ctx, "j1", time.Millisecond); return err }},
+		{"MineAsync", func(c *Client) error { _, err := c.MineAsync(ctx, MineParams{MinSupport: 0.1}); return err }},
+		{"Query", func(c *Client) error { _, err := c.Query(QueryFilter{}); return err }},
+		{"QueryAll", func(c *Client) error { _, err := c.QueryAll([]QueryFilter{{}}); return err }},
+		{"QueryWindow", func(c *Client) error { _, err := c.QueryWindow([]QueryFilter{{}}, "1m"); return err }},
+		{"Stats", func(c *Client) error { _, err := c.Stats(); return err }},
+		{"FederationStats", func(c *Client) error { _, err := c.FederationStats(); return err }},
+	}
+	for _, status := range []int{http.StatusBadRequest, http.StatusConflict, http.StatusServiceUnavailable} {
+		reason := fmt.Sprintf("refused with %d for a reason", status)
+		failing := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			if status == http.StatusServiceUnavailable {
+				http.Error(w, reason, status) // a plain-text body, as a proxy would send
+				return
+			}
+			httpError(w, status, fmt.Errorf("%w: %s", ErrService, reason))
+		}))
+		for _, tc := range calls {
+			c := wireClient(t, ts)
+			c.base = failing.URL
+			err := tc.call(c)
+			if err == nil || !errors.Is(err, ErrService) || !strings.Contains(err.Error(), reason) {
+				t.Errorf("%s on %d: error %v, want ErrService with %q", tc.name, status, err, reason)
+			}
+			wantBusy := status == http.StatusServiceUnavailable && (tc.name == "SubmitMineJob" || tc.name == "MineAsync")
+			if errors.Is(err, ErrBusy) != wantBusy {
+				t.Errorf("%s on %d: ErrBusy = %v, want %v (%v)", tc.name, status, !wantBusy, wantBusy, err)
+			}
+		}
+		failing.Close()
+	}
+	if n := srv.N(); n != 0 {
+		t.Fatalf("failing server calls reached the real one: %d records", n)
 	}
 }

@@ -271,10 +271,7 @@ func TestSchemeEndToEnd(t *testing.T) {
 
 			// Replication: a full delta pulled over HTTP rebuilds the
 			// counter state on a fresh same-scheme counter.
-			d, err := client.Replicate(0, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
+			d := pullDelta(t, ts, 0, 0)
 			if !d.Full() || d.Records != records {
 				t.Fatalf("full delta carries %d records (full=%v), want %d", d.Records, d.Full(), records)
 			}
@@ -621,10 +618,7 @@ func TestReplicateRejectsCrossScheme(t *testing.T) {
 	if err := client.SubmitBatch(db.Records, rand.New(rand.NewSource(4))); err != nil {
 		t.Fatal(err)
 	}
-	d, err := client.Replicate(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := pullDelta(t, tsMask, 0, 0)
 
 	srvGamma, _ := startServer(t, WithScheme(mining.SchemeGamma))
 	replica, err := mining.NewShardedCounter(srvGamma.CounterScheme(), 1)

@@ -847,6 +847,9 @@ func mineParamsFromQuery(r *http.Request) (MineParams, error) {
 // of /v1/mine traffic can no longer monopolize the machine.
 func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 	p, err := mineParamsFromQuery(r)
+	if err == nil {
+		_, err = s.windowOf(p.Window, mineRemedy)
+	}
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -894,7 +897,11 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	// In the JSON API an absent field decodes to zero, so zero values
 	// mean defaults here (documented in docs/http-api.md).
 	p.applyDefaults()
-	if err := p.validate(); err != nil {
+	err := p.validate()
+	if err == nil {
+		_, err = s.windowOf(p.Window, mineRemedy)
+	}
+	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -948,7 +955,7 @@ func (s *Server) executeMine(p MineParams) (*MineResponse, uint64, bool, error) 
 	// version on every ring rotation, so equal (generation, version)
 	// implies the same bucket union for every window and the cache
 	// discipline below carries over unchanged.
-	window, err := s.windowOf(p.Window, "mine without the window parameter")
+	window, err := s.windowOf(p.Window, mineRemedy)
 	if err != nil {
 		return nil, 0, false, err
 	}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -297,6 +299,33 @@ func TestWindowedMineJobs(t *testing.T) {
 	}
 }
 
+// TestWindowOnPlainCollectionIsRefused: a window on a plain collection
+// is one 400 "not windowed" on every route that takes one, whether the
+// collection is empty or not, and no mining job is enqueued for it.
+func TestWindowOnPlainCollectionIsRefused(t *testing.T) {
+	srv, ts := startServer(t, WithShards(2))
+	routes := []struct{ method, path, body string }{
+		{http.MethodPost, "/v1/query", `{"filters":[{}],"window":"1m"}`},
+		{http.MethodPost, "/v1/mine-jobs", `{"minsup":0.05,"window":"1m"}`},
+		{http.MethodGet, "/v1/mine?minsup=0.05&window=1m", ""},
+	}
+	for _, records := range []int{0, 50} {
+		if records > 0 {
+			submitSeeded(t, wireClient(t, ts), records, 5)
+		}
+		for _, rt := range routes {
+			rec := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(rec, httptest.NewRequest(rt.method, rt.path, strings.NewReader(rt.body)))
+			if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "not windowed") {
+				t.Errorf("%s %s on %d records = %d %s, want 400 not windowed", rt.method, rt.path, records, rec.Code, rec.Body)
+			}
+		}
+	}
+	if jobs := srv.jobs.list(); len(jobs) != 0 {
+		t.Errorf("%d mining jobs enqueued for refused windows", len(jobs))
+	}
+}
+
 // TestWindowedQueryRejections: the window query parameter is validated
 // like any client input — bad duration, non-positive duration, and a
 // window on an unwindowed collection are all 400s, and an empty window
@@ -353,9 +382,11 @@ func TestUnwindowedQueryAcrossRingExpiry(t *testing.T) {
 // construction with a store or peers is refused too; see
 // TestNewServerRejectsModePairs.)
 func TestWindowedDurabilityGates(t *testing.T) {
-	_, client, _ := startWindowedServer(t, 2, time.Minute, WithShards(2))
+	srv, client, _ := startWindowedServer(t, 2, time.Minute, WithShards(2))
 	submitSeeded(t, client, 40, 3)
-	if _, err := client.Replicate(0, 0); err == nil || !strings.Contains(err.Error(), "409") {
-		t.Errorf("replicate = %v, want 409", err)
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/replicate", nil))
+	if rec.Code != http.StatusConflict {
+		t.Errorf("replicate = %d %s, want 409", rec.Code, rec.Body)
 	}
 }
