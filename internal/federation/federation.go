@@ -367,13 +367,13 @@ func (co *Coordinator) nextDelay(p *peer) time.Duration {
 }
 
 // SyncAll performs one synchronous pull of every peer and publishes the
-// merged counter if anything changed. It returns the joined per-peer
+// merged counter unless the published one already reflects every
+// replica. It returns the joined per-peer
 // errors (nil when every pull succeeded); a partial failure still merges
 // and publishes what did succeed. Used at coordinator startup for a warm
 // first view, by the demo, and by tests that need deterministic syncs.
 func (co *Coordinator) SyncAll(ctx context.Context) error {
 	errs := make([]error, len(co.peers))
-	changes := make([]bool, len(co.peers))
 	var wg sync.WaitGroup
 	// Peers pull concurrently — they are independent, and syncPeer
 	// already serializes per peer — with the same per-request timeout as
@@ -386,21 +386,34 @@ func (co *Coordinator) SyncAll(ctx context.Context) error {
 			defer wg.Done()
 			pullCtx, cancel := context.WithTimeout(ctx, co.cfg.timeout)
 			defer cancel()
-			c, err := co.syncPeer(pullCtx, p)
-			if err != nil {
+			if _, err := co.syncPeer(pullCtx, p); err != nil {
 				errs[i] = fmt.Errorf("peer %s: %w", p.url, err)
 			}
-			changes[i] = c
 		}(i, p)
 	}
 	wg.Wait()
-	for _, c := range changes {
-		if c {
-			co.publishMerged()
-			break
+	co.publishIfBehind()
+	return errors.Join(errs...)
+}
+
+// publishIfBehind publishes when any replica's presence or version
+// differs from the published vector. Whether this SyncAll's own pulls
+// changed anything is not enough: a peer loop may have applied a delta
+// and still be waiting on pubMu to publish it, and SyncAll must not
+// return before that delta is published.
+func (co *Coordinator) publishIfBehind() {
+	co.pubMu.Lock()
+	defer co.pubMu.Unlock()
+	for _, p := range co.peers {
+		p.mu.Lock()
+		v, published := co.publishedVector[p.url]
+		behind := (p.replica != nil) != published || (published && p.version != v)
+		p.mu.Unlock()
+		if behind {
+			co.publishLocked()
+			return
 		}
 	}
-	return errors.Join(errs...)
 }
 
 // syncPeer pulls one delta from a peer and applies it to the peer's
@@ -501,6 +514,11 @@ func (co *Coordinator) syncPeer(ctx context.Context, p *peer) (changed bool, err
 func (co *Coordinator) publishMerged() {
 	co.pubMu.Lock()
 	defer co.pubMu.Unlock()
+	co.publishLocked()
+}
+
+// publishLocked is publishMerged's body. Called with pubMu held.
+func (co *Coordinator) publishLocked() {
 	merged, err := mining.NewShardedCounter(co.scheme, 1)
 	vector := make(map[string]uint64, len(co.peers))
 	for i := 0; err == nil && i < len(co.peers); i++ {

@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -660,5 +661,85 @@ func TestSyncReusesConnections(t *testing.T) {
 	// both, plus slack for one re-dial.
 	if opened := newConns.Load() - before; opened > 3 {
 		t.Fatalf("%d sync passes opened %d new connections; replicate responses are not being drained for reuse", passes, opened)
+	}
+}
+
+// TestSyncAllWaitsForPendingPublish: a SyncAll whose own pull finds
+// nothing new still returns only once everything already pulled is
+// published. One SyncAll pulls new records and blocks inside its
+// publish; a second SyncAll must not return while that publish is
+// pending.
+func TestSyncAllWaitsForPendingPublish(t *testing.T) {
+	schema := fedSchema(t)
+	s := newSite(t, schema)
+	rng := rand.New(rand.NewSource(43))
+	submitBatch(t, schema, s.ts.URL, randomRecords(schema, rng, 20))
+
+	var (
+		mu        sync.Mutex
+		published int // records of the last completed publish
+		block     bool
+	)
+	entered, release := make(chan struct{}), make(chan struct{})
+	coord, err := federation.NewCoordinator(s.srv.CounterScheme(), []string{s.ts.URL},
+		func(c mining.LiveCounter, _ map[string]uint64) error {
+			mu.Lock()
+			wait := block
+			block = false
+			mu.Unlock()
+			if wait {
+				close(entered)
+				<-release
+			}
+			mu.Lock()
+			published = c.N()
+			mu.Unlock()
+			return nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(coord.Close)
+	if err := coord.SyncAll(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	submitBatch(t, schema, s.ts.URL, randomRecords(schema, rng, 5))
+	mu.Lock()
+	block = true
+	mu.Unlock()
+	first := make(chan error, 1)
+	go func() { first <- coord.SyncAll(context.Background()) }()
+	<-entered
+
+	type result struct {
+		published int
+		err       error
+	}
+	second := make(chan result, 1)
+	go func() {
+		err := coord.SyncAll(context.Background())
+		mu.Lock()
+		defer mu.Unlock()
+		second <- result{published, err}
+	}()
+	// A SyncAll that waits for the pending publish cannot return before
+	// the release; give one that does not wait the time to return first.
+	var got result
+	select {
+	case got = <-second:
+		close(release)
+	case <-time.After(200 * time.Millisecond):
+		close(release)
+		got = <-second
+	}
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	if got.published != 25 {
+		t.Fatalf("SyncAll returned with %d records published, want 25", got.published)
 	}
 }

@@ -56,7 +56,7 @@ type boolEstimator interface {
 	// patternWeights returns w with estimate = Σ_idx w[idx]·counts[idx],
 	// feeding the plug-in multinomial variance of Estimates.
 	patternWeights(l int) ([]float64, error)
-	// fillMeta / checkMeta are the scheme-parameter halves of the v3
+	// fillMeta / checkMeta are the scheme-parameter halves of the
 	// persistence format.
 	fillMeta(st *counterState)
 	checkMeta(st *counterState) error
@@ -275,7 +275,7 @@ func (c *boolCore) cut(read cutRead, edit func(*journal)) shardCut {
 	c.mu.Unlock()
 	if read == cutState {
 		cells := sortCells(sc.joint, make([]DeltaCell, len(sc.joint)))
-		sc.state, sc.joint = shardState{N: sc.n, Cells: cells}, nil
+		sc.state, sc.joint = shardState{N: sc.n, Joint: cells}, nil
 	}
 	return sc
 }
@@ -286,7 +286,7 @@ func (c *boolCore) restoreShard(sh shardState) error {
 	if len(sh.Hists) != 0 {
 		return fmt.Errorf("%w: state carries dense histograms, not a boolean counter payload", ErrMining)
 	}
-	return c.addCells(sh.Cells, sh.N)
+	return c.addCells(sh.Joint, sh.N)
 }
 
 // checkState validates decoded state metadata against this core's
@@ -303,11 +303,11 @@ func (c *boolCore) checkState(st *counterState) error {
 	return c.est.checkMeta(st)
 }
 
-// stateMeta fills the v3 scheme-tagged state header.
+// stateMeta fills the scheme-tagged state header.
 func (c *boolCore) stateMeta() counterState {
 	schema := c.Schema()
 	st := counterState{
-		Version:    schemeStateVersion,
+		Version:    stateVersion,
 		Scheme:     c.Scheme(),
 		SchemaName: schema.Name,
 		M:          schema.M(),

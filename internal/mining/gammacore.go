@@ -16,7 +16,7 @@ import (
 // path (validate/route once, fold only the subset histograms the batch
 // touches one shard lock at a time, evaluate the Eq. 28 closed form
 // across a worker pool), snapshot folding, joint-histogram extraction
-// for replication deltas, and the v3 persistence hooks.
+// for replication deltas, and the persistence hooks.
 
 // Compile-time check: gammaCore is the gamma core.
 var _ CounterCore = (*gammaCore)(nil)

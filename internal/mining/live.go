@@ -19,7 +19,7 @@ import (
 // ShardedCounter stripes over. Gamma, MASK,
 // and cut-and-paste each provide a core; everything above the core —
 // lock-striped ingestion, merge-on-demand reads, snapshot versioning,
-// v3 persistence, replication deltas — is written once against these
+// persistence, replication deltas — is written once against these
 // interfaces and works for all three.
 
 // Scheme names. Gamma is the default and the paper's recommended scheme:
@@ -167,7 +167,7 @@ type CounterCore interface {
 	// its write lock, after running edit (if any) on the journal — the
 	// replication and checkpoint primitive (see journal.go).
 	cut(read cutRead, edit func(*journal)) shardCut
-	// restoreShard / checkState / stateMeta are the v3 scheme-tagged
+	// restoreShard / checkState / stateMeta are the scheme-tagged
 	// persistence hooks (see persist.go); a cutState cut saves a shard.
 	restoreShard(sh shardState) error
 	checkState(st *counterState) error

@@ -15,14 +15,15 @@ import (
 // start empty) instead of surfacing raw gob internals.
 var ErrCorruptState = fmt.Errorf("%w: corrupt counter state", ErrMining)
 
-// counterState is the serialized (version 3, scheme-tagged) form of a
-// counter. The schema itself is NOT serialized — the loader supplies it
-// (through the scheme contract) and the state is validated against it,
-// so a state file can never silently reinterpret a different schema's
-// counts. Scheme names the perturbation scheme, the scheme's parameters
-// ride in the meta fields, and each shard carries either dense subset
-// histograms (gamma) or sparse joint cells (the boolean schemes); saved
-// shards fold modulo the live shard count.
+// counterState is the serialized (scheme-tagged) form of a counter. The
+// schema itself is NOT serialized — the loader supplies it (through the
+// scheme contract) and the state is validated against it, so a state
+// file can never silently reinterpret a different schema's counts.
+// Scheme names the perturbation scheme, the scheme's parameters ride in
+// the meta fields, and each shard carries either dense subset histograms
+// (gamma) or sparse joint cells (the boolean schemes); saved shards fold
+// modulo the live shard count. Version 4 writes the joint cells in the
+// cell codec; version 3 wrote them as gob structs and is still read.
 type counterState struct {
 	Version    int
 	Scheme     string
@@ -50,17 +51,23 @@ type counterState struct {
 type shardState struct {
 	N     int
 	Hists [][]float64
+	Joint CellList
+	// Cells is version 3's form of Joint, read only.
 	Cells []DeltaCell
 }
 
-// schemeStateVersion is the only state version the loaders accept.
-// Versions 1 and 2 (pre-scheme gamma files) are no longer readable.
-const schemeStateVersion = 3
+// stateVersion is the version every state is written in. The loaders
+// also read legacyStateVersion; versions 1 and 2 (pre-scheme gamma
+// files) are no longer readable.
+const (
+	stateVersion       = 4
+	legacyStateVersion = 3
+)
 
 // stateMeta fills the state header for a gamma core.
 func (c *gammaCore) stateMeta() counterState {
 	return counterState{
-		Version:    schemeStateVersion,
+		Version:    stateVersion,
 		Scheme:     SchemeGamma,
 		SchemaName: c.schema.Name,
 		M:          c.schema.M(),
@@ -117,7 +124,7 @@ func (c *gammaCore) restoreShard(sh shardState) error {
 	return nil
 }
 
-// stateOf assembles the v3 state of a cutState cut.
+// stateOf assembles the state of a cutState cut.
 func (c *ShardedCounter) stateOf(cut counterCut) counterState {
 	st := c.shards[0].stateMeta()
 	for _, sc := range cut.shards {
@@ -126,7 +133,8 @@ func (c *ShardedCounter) stateOf(cut counterCut) counterState {
 	return st
 }
 
-// decodeState decodes a version-3 state payload.
+// decodeState decodes a version-4 or version-3 state payload into the
+// version-4 form.
 func decodeState(r io.Reader) (*counterState, error) {
 	var st counterState
 	if err := gob.NewDecoder(r).Decode(&st); err != nil {
@@ -135,8 +143,15 @@ func decodeState(r io.Reader) (*counterState, error) {
 		}
 		return nil, fmt.Errorf("%w: %v", ErrCorruptState, err)
 	}
-	if st.Version != schemeStateVersion {
-		return nil, fmt.Errorf("%w: unsupported counter state version %d, want %d", ErrMining, st.Version, schemeStateVersion)
+	switch st.Version {
+	case stateVersion:
+	case legacyStateVersion:
+		for i := range st.Shards {
+			st.Shards[i].Joint = st.Shards[i].Cells
+		}
+	default:
+		return nil, fmt.Errorf("%w: unsupported counter state version %d, want %d or %d",
+			ErrMining, st.Version, stateVersion, legacyStateVersion)
 	}
 	if len(st.Shards) == 0 {
 		return nil, fmt.Errorf("%w: sharded state has no shards", ErrMining)
@@ -147,7 +162,7 @@ func decodeState(r io.Reader) (*counterState, error) {
 	return &st, nil
 }
 
-// LoadLiveCounter restores a live counter from the v3 state written by
+// LoadLiveCounter restores a live counter from the state written by
 // CounterCheckpoint.Save (of a ShardedCounter.CheckpointCut), the one
 // writer of counter state. It validates the scheme identity, scheme
 // parameters, and every structural invariant against the supplied

@@ -93,7 +93,7 @@ func (c *ShardedCounter) apply(d *CounterDelta) error {
 type JournalSegment struct {
 	Token   uint64
 	Records int
-	Cells   []DeltaCell
+	Cells   CellList
 }
 
 // ReplicationState is the counter's replication identity, captured for

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"math/rand"
 	"net/http"
 	"net/url"
@@ -180,9 +181,10 @@ func (c *Client) perturbItems(rec dataset.Record, rng *rand.Rand) ([]mining.Item
 	}
 }
 
-// rowItems unpacks a perturbed boolean row into (attr, value) items.
+// rowItems unpacks a perturbed boolean row into (attr, value) items, one
+// per set bit, in one allocation.
 func (c *Client) rowItems(m *core.BoolMapping, row uint64) []mining.Item {
-	var items []mining.Item
+	items := make([]mining.Item, 0, bits.OnesCount64(row))
 	for j, a := range c.schema.Attrs {
 		for v := 0; v < a.Cardinality(); v++ {
 			if row&(1<<uint(m.Offsets[j]+v)) != 0 {

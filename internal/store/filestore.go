@@ -25,10 +25,12 @@ import (
 //	checkpoint-<seq>.ckpt  gob checkpointFile: full counter state at one
 //	                       WAL token, plus the replication identity and
 //	                       the retained change-journal tail
-//	wal-<seq>.log          framed header + CounterDelta records chained
-//	                       from checkpoint <seq>'s token
+//	wal-<seq>.log          framed header + walRecord deltas chained from
+//	                       checkpoint <seq>'s token
 //
-// Every record and the segment header are framed as
+// Every cell list on disk — in the counter state, the journal tail and
+// the WAL records — is a mining.CellList, written in the mining
+// package's cell codec. Every record and the segment header are framed as
 // [len uint32][crc32 uint32][gob payload], both big-endian, so a torn
 // trailing write is detected (short frame or CRC mismatch) and ends the
 // replay instead of corrupting it. Checkpoints are written atomically —
@@ -38,11 +40,13 @@ import (
 const (
 	checkpointMagic = "frapp-checkpoint"
 	walMagic        = "frapp-wal"
-	// checkpointVersion 2 carries the replication journal tail; version 1
-	// (full replication baselines) is still read, keeping only its
-	// checkpoint token. The WAL format is unchanged since version 1.
-	checkpointVersion = 2
-	walVersion        = 1
+	// checkpointVersion 3 writes the journal tail's cells in the cell
+	// codec. Version 2 (gob-struct cells) is still read, and so is
+	// version 1 (full replication baselines), keeping only its
+	// checkpoint token. walVersion 2 writes walRecords; version 1
+	// segments (gob CounterDeltas) are still replayed.
+	checkpointVersion = 3
+	walVersion        = 2
 
 	checkpointSuffix = ".ckpt"
 	walSuffix        = ".log"
@@ -156,15 +160,42 @@ func (s *FileStore) sweepTemps() error {
 }
 
 // checkpointFile is the serialized checkpoint: the counter state (the
-// v3 scheme-tagged gob payload of CounterCheckpoint.Save) frozen at WALToken,
-// plus the replication identity to restore into the recovered counter.
+// payload of CounterCheckpoint.Save) frozen at WALToken, plus the
+// replication identity to restore into the recovered counter.
 type checkpointFile struct {
-	Magic       string
-	Version     int
-	Seq         uint64
-	WALToken    uint64
-	Replication mining.ReplicationState
+	Magic    string
+	Version  int
+	Seq      uint64
+	WALToken uint64
+	Identity mining.ReplicationState
+	// Replication is versions 1 and 2's form of Identity, read only.
+	Replication legacyReplication
 	State       []byte
+}
+
+// legacyReplication is mining.ReplicationState as versions 1 and 2
+// wrote it, with gob-struct journal cells (version 1 wrote no journal).
+type legacyReplication struct {
+	Epoch     uint64
+	LastToken uint64
+	Journal   []struct {
+		Token   uint64
+		Records int
+		Cells   []mining.DeltaCell
+	}
+}
+
+// identity returns the checkpoint's replication identity, whichever
+// version wrote it.
+func (ck *checkpointFile) identity() mining.ReplicationState {
+	if ck.Version >= 3 {
+		return ck.Identity
+	}
+	rs := mining.ReplicationState{Epoch: ck.Replication.Epoch, LastToken: ck.Replication.LastToken}
+	for _, sg := range ck.Replication.Journal {
+		rs.Journal = append(rs.Journal, mining.JournalSegment{Token: sg.Token, Records: sg.Records, Cells: sg.Cells})
+	}
+	return rs
 }
 
 // walHeader opens every WAL segment: records in segment Seq chain from
@@ -174,6 +205,42 @@ type walHeader struct {
 	Version    int
 	Seq        uint64
 	StartToken uint64
+}
+
+// walRecord is one WAL record from walVersion 2: the delta with its
+// cells moved into the cell codec. The /v1/replicate wire keeps sending
+// mining.CounterDelta as it is.
+type walRecord struct {
+	Delta mining.CounterDelta // without cells
+	Cells mining.CellList
+}
+
+// encodeDelta serializes d as a WAL record payload.
+func encodeDelta(d *mining.CounterDelta) ([]byte, error) {
+	rec := walRecord{Delta: *d, Cells: d.Cells}
+	rec.Delta.Cells = nil
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&rec); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// decodeDelta parses a WAL record payload of a segment of the given
+// version.
+func decodeDelta(payload []byte, version int) (*mining.CounterDelta, error) {
+	dec := gob.NewDecoder(bytes.NewReader(payload))
+	if version == 1 {
+		var d mining.CounterDelta
+		err := dec.Decode(&d)
+		return &d, err
+	}
+	var rec walRecord
+	if err := dec.Decode(&rec); err != nil {
+		return nil, err
+	}
+	rec.Delta.Cells = rec.Cells
+	return &rec.Delta, nil
 }
 
 // Recover rebuilds the durable state — newest valid checkpoint plus the
@@ -219,7 +286,7 @@ func (s *FileStore) recover(scheme mining.CounterScheme, shards int) (*mining.Sh
 		// The tail must end at the checkpoint token. A v1 checkpoint
 		// carries full baselines instead, of which only the checkpoint's
 		// own token is kept.
-		rs := ck.Replication
+		rs := ck.identity()
 		if k := len(rs.Journal); k == 0 || rs.Journal[k-1].Token != ck.WALToken {
 			rs.Journal = []mining.JournalSegment{{Token: ck.WALToken}}
 		}
@@ -305,7 +372,7 @@ func (s *FileStore) replaySegment(counter *mining.ShardedCounter, seq uint64, rs
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&hdr); err != nil {
 		return false, nil
 	}
-	if hdr.Magic != walMagic || hdr.Version != walVersion || hdr.Seq != seq || hdr.StartToken != rs.Journal[len(rs.Journal)-1].Token {
+	if hdr.Magic != walMagic || hdr.Version < 1 || hdr.Version > walVersion || hdr.Seq != seq || hdr.StartToken != rs.Journal[len(rs.Journal)-1].Token {
 		return false, nil // not the segment this chain expects
 	}
 	for {
@@ -316,17 +383,17 @@ func (s *FileStore) replaySegment(counter *mining.ShardedCounter, seq uint64, rs
 			// record either way.
 			return errors.Is(err, io.EOF), nil
 		}
-		var d mining.CounterDelta
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&d); err != nil {
+		d, err := decodeDelta(payload, hdr.Version)
+		if err != nil {
 			return false, nil
 		}
 		if d.Full() || d.FromVersion != rs.Journal[len(rs.Journal)-1].Token {
 			return false, nil // chain break: treat like a tear
 		}
-		if err := counter.ApplyDelta(&d); err != nil {
+		if err := counter.ApplyDelta(d); err != nil {
 			return false, fmt.Errorf("replaying %s: %w", s.walPath(seq), err)
 		}
-		rs.Extend(&d)
+		rs.Extend(d)
 	}
 }
 
@@ -379,23 +446,23 @@ func (s *FileStore) append() (appended, records int, fsyncDur time.Duration, err
 	if d.ToVersion == s.lastToken {
 		return 0, 0, 0, nil // unchanged
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(d); err != nil {
+	payload, err := encodeDelta(d)
+	if err != nil {
 		return 0, 0, 0, err
 	}
-	if err := s.writeFrame(buf.Bytes()); err != nil {
+	if err := s.writeFrame(payload); err != nil {
 		return 0, 0, 0, err
 	}
 	if s.sync == SyncAlways {
 		t0 := time.Now()
 		if err := s.wal.Sync(); err != nil {
-			return buf.Len(), 0, time.Since(t0), err
+			return len(payload), 0, time.Since(t0), err
 		}
 		fsyncDur = time.Since(t0)
 	}
 	s.lastToken = d.ToVersion
 	s.sinceCkpt += d.Records
-	return buf.Len(), d.Records, fsyncDur, nil
+	return len(payload), d.Records, fsyncDur, nil
 }
 
 // Checkpoint compacts: writes the counter's full current state as a new
@@ -433,8 +500,7 @@ func (s *FileStore) compact() (int, error) {
 	// next segment. Best-effort — a failure here only shortens the
 	// fallback prefix, never the primary recovery path.
 	if s.wal != nil && cut.Bridge != nil {
-		var buf bytes.Buffer
-		if gob.NewEncoder(&buf).Encode(cut.Bridge) == nil && s.writeFrame(buf.Bytes()) == nil {
+		if payload, err := encodeDelta(cut.Bridge); err == nil && s.writeFrame(payload) == nil {
 			s.wal.Sync()
 			s.lastToken = cut.Token
 		}
@@ -445,12 +511,12 @@ func (s *FileStore) compact() (int, error) {
 	}
 	newSeq := s.seq + 1
 	ck := checkpointFile{
-		Magic:       checkpointMagic,
-		Version:     checkpointVersion,
-		Seq:         newSeq,
-		WALToken:    cut.Token,
-		Replication: cut.Replication,
-		State:       state.Bytes(),
+		Magic:    checkpointMagic,
+		Version:  checkpointVersion,
+		Seq:      newSeq,
+		WALToken: cut.Token,
+		Identity: cut.Replication,
+		State:    state.Bytes(),
 	}
 	if err := s.writeCheckpointFile(&ck); err != nil {
 		return state.Len(), err

@@ -8,7 +8,7 @@
 // replication delta layer (mining.CounterDelta / DeltaSince) is already
 // an exact, compact change log. The store chains those deltas into an
 // append-only WAL off the ingest hot path, compacts them into full
-// counter checkpoints (the v3 scheme-tagged state format), and after a
+// counter checkpoints (the scheme-tagged state format), and after a
 // crash recovers by loading the newest valid checkpoint and replaying
 // the WAL tail; a torn trailing record ends the replay, it is never
 // fatal. Checkpoints also carry the counter's replication identity
