@@ -2,7 +2,6 @@ package registry
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -100,7 +99,7 @@ func (r *Registry) handleList(w http.ResponseWriter, _ *http.Request) {
 func (r *Registry) handleGet(w http.ResponseWriter, req *http.Request) {
 	col, err := r.Get(req.PathValue("name"))
 	if err != nil {
-		httpError(w, http.StatusNotFound, err)
+		service.WriteError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, col.info())
@@ -112,12 +111,12 @@ func (r *Registry) handlePut(w http.ResponseWriter, req *http.Request) {
 	dec := json.NewDecoder(req.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("%w: bad spec JSON: %v", ErrRegistry, err))
+		service.WriteError(w, fmt.Errorf("%w: bad spec JSON: %v", errInvalid, err))
 		return
 	}
 	col, created, err := r.Create(req.PathValue("name"), spec)
 	if err != nil {
-		httpError(w, putErrorStatus(err), err)
+		service.WriteError(w, err)
 		return
 	}
 	status := http.StatusOK
@@ -127,36 +126,11 @@ func (r *Registry) handlePut(w http.ResponseWriter, req *http.Request) {
 	writeJSON(w, status, col.info())
 }
 
-// putErrorStatus maps Create failures onto HTTP statuses by error
-// identity: conflicts and caps are the caller's state to resolve, the
-// rest are bad specs.
-func putErrorStatus(err error) int {
-	switch {
-	case errors.Is(err, errConflict):
-		return http.StatusConflict
-	case errors.Is(err, errCapacity):
-		return http.StatusForbidden
-	case errors.Is(err, errClosed):
-		return http.StatusServiceUnavailable
-	default:
-		return http.StatusBadRequest
-	}
-}
-
+// handleDelete answers with Delete's own verdict, so of two DELETEs
+// that overlap, the one that finds the collection gone answers 404.
 func (r *Registry) handleDelete(w http.ResponseWriter, req *http.Request) {
-	name := req.PathValue("name")
-	col, err := r.Get(name)
-	if err != nil {
-		httpError(w, http.StatusNotFound, err)
-		return
-	}
-	if col.Adopted() {
-		httpError(w, http.StatusForbidden,
-			fmt.Errorf("%w: collection %q is flag-configured and cannot be deleted", ErrRegistry, name))
-		return
-	}
-	if err := r.Delete(name); err != nil {
-		httpError(w, http.StatusInternalServerError, err)
+	if err := r.Delete(req.PathValue("name")); err != nil {
+		service.WriteError(w, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -168,7 +142,7 @@ func (r *Registry) handleDelete(w http.ResponseWriter, req *http.Request) {
 func (r *Registry) handleDataPlane(w http.ResponseWriter, req *http.Request) {
 	col, err := r.Get(req.PathValue("name"))
 	if err != nil {
-		httpError(w, http.StatusNotFound, err)
+		service.WriteError(w, err)
 		return
 	}
 	srv := serverOf(w, col)
@@ -187,8 +161,7 @@ func (r *Registry) handleDataPlane(w http.ResponseWriter, req *http.Request) {
 func (r *Registry) handleDefault(w http.ResponseWriter, req *http.Request) {
 	col, err := r.Get(DefaultCollection)
 	if err != nil {
-		httpError(w, http.StatusNotFound,
-			errors.New("registry: no default collection; use /v1/collections/{name}/..."))
+		service.WriteError(w, fmt.Errorf("%w: no default collection; use /v1/collections/{name}/...", errNotFound))
 		return
 	}
 	if srv := serverOf(w, col); srv != nil {
@@ -197,8 +170,9 @@ func (r *Registry) handleDefault(w http.ResponseWriter, req *http.Request) {
 }
 
 // serverOf returns the collection's server, or answers 503 and returns
-// nil when it is not serving — with Retry-After while it is still
-// recovering, which service.Client honours once.
+// nil when it is not serving (recovering, or its build failed) — with
+// Retry-After while it is still recovering, which service.Client
+// honours once.
 func serverOf(w http.ResponseWriter, col *Collection) *service.Server {
 	srv, err := col.Server()
 	if err != nil {
@@ -207,7 +181,7 @@ func serverOf(w http.ResponseWriter, col *Collection) *service.Server {
 		default:
 			w.Header().Set("Retry-After", "1")
 		}
-		httpError(w, http.StatusServiceUnavailable, err)
+		service.WriteError(w, fmt.Errorf("%w%w", err, service.ErrUnavailable))
 	}
 	return srv
 }
@@ -216,8 +190,4 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
-}
-
-func httpError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
 }

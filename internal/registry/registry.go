@@ -50,13 +50,14 @@ import (
 // ErrRegistry marks every error produced by this package.
 var ErrRegistry = errors.New("registry")
 
-// Create's refusals that are not a bad spec, each told apart by
-// identity (errors.Is) for its HTTP status. They wrap ErrRegistry and
-// read like it, so their messages keep the "registry: " prefix.
+// The registry's refusals: ErrRegistry's words and one service kind
+// each, which picks the HTTP status (service.WriteError).
 var (
-	errConflict = fmt.Errorf("%w", ErrRegistry) // the name is taken or flag-configured
-	errCapacity = fmt.Errorf("%w", ErrRegistry) // collection limit or name budget reached
-	errClosed   = fmt.Errorf("%w", ErrRegistry) // the registry is shutting down
+	errInvalid     = fmt.Errorf("%w%w", ErrRegistry, service.ErrInvalid)     // a bad name or spec
+	errForbidden   = fmt.Errorf("%w%w", ErrRegistry, service.ErrForbidden)   // a cap reached, or the flag-configured default
+	errNotFound    = fmt.Errorf("%w%w", ErrRegistry, service.ErrNotFound)    // no such collection
+	errConflict    = fmt.Errorf("%w%w", ErrRegistry, service.ErrConflict)    // the name is taken or flag-configured
+	errUnavailable = fmt.Errorf("%w%w", ErrRegistry, service.ErrUnavailable) // shutting down, or the collection is not serving
 )
 
 // DefaultCollection is the name the legacy un-prefixed routes alias.
@@ -120,11 +121,11 @@ type CollectionSpec struct {
 // schema builds and validates the runtime schema.
 func (s *CollectionSpec) schema() (*dataset.Schema, error) {
 	if s.Schema == nil {
-		return nil, fmt.Errorf("%w: spec has no schema", ErrRegistry)
+		return nil, fmt.Errorf("%w: spec has no schema", errInvalid)
 	}
 	sc, err := dataset.NewSchema(s.Schema.Name, s.Schema.Attrs)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrRegistry, err)
+		return nil, fmt.Errorf("%w: %v", errInvalid, err)
 	}
 	return sc, nil
 }
@@ -151,43 +152,43 @@ func (s *CollectionSpec) normalize() error {
 	spec := core.PrivacySpec{Rho1: s.Rho1, Rho2: s.Rho2}
 	gamma, err := spec.Gamma()
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrRegistry, err)
+		return fmt.Errorf("%w: %v", errInvalid, err)
 	}
 	if _, err := mining.SchemeForContract(s.Scheme, schema, gamma); err != nil {
-		return fmt.Errorf("%w: %v", ErrRegistry, err)
+		return fmt.Errorf("%w: %v", errInvalid, err)
 	}
 	if s.Shards < 0 {
-		return fmt.Errorf("%w: negative shards %d", ErrRegistry, s.Shards)
+		return fmt.Errorf("%w: negative shards %d", errInvalid, s.Shards)
 	}
 	if s.MineWorkers < 0 {
-		return fmt.Errorf("%w: negative mine_workers %d", ErrRegistry, s.MineWorkers)
+		return fmt.Errorf("%w: negative mine_workers %d", errInvalid, s.MineWorkers)
 	}
 	if s.windowed() {
 		if s.WindowBuckets < 1 {
-			return fmt.Errorf("%w: window_bucket set without window_buckets >= 1", ErrRegistry)
+			return fmt.Errorf("%w: window_bucket set without window_buckets >= 1", errInvalid)
 		}
 		d, err := time.ParseDuration(s.WindowBucket)
 		if err != nil || d <= 0 {
-			return fmt.Errorf("%w: bad window_bucket %q (want a positive Go duration)", ErrRegistry, s.WindowBucket)
+			return fmt.Errorf("%w: bad window_bucket %q (want a positive Go duration)", errInvalid, s.WindowBucket)
 		}
 		s.WindowBucket = d.String()
 		if len(s.Peers) > 0 {
-			return fmt.Errorf("%w: a windowed collection cannot federate (expiry cannot be replicated)", ErrRegistry)
+			return fmt.Errorf("%w: a windowed collection cannot federate (expiry cannot be replicated)", errInvalid)
 		}
 	}
 	if s.SyncInterval != "" {
 		if len(s.Peers) == 0 {
-			return fmt.Errorf("%w: sync_interval without peers", ErrRegistry)
+			return fmt.Errorf("%w: sync_interval without peers", errInvalid)
 		}
 		d, err := time.ParseDuration(s.SyncInterval)
 		if err != nil || d <= 0 {
-			return fmt.Errorf("%w: bad sync_interval %q", ErrRegistry, s.SyncInterval)
+			return fmt.Errorf("%w: bad sync_interval %q", errInvalid, s.SyncInterval)
 		}
 		s.SyncInterval = d.String()
 	}
 	for _, p := range s.Peers {
 		if strings.TrimSpace(p) == "" {
-			return fmt.Errorf("%w: empty peer URL", ErrRegistry)
+			return fmt.Errorf("%w: empty peer URL", errInvalid)
 		}
 	}
 	return nil
@@ -222,10 +223,6 @@ func (c *Collection) Name() string { return c.name }
 // Spec returns the collection's normalized spec.
 func (c *Collection) Spec() CollectionSpec { return c.spec }
 
-// Adopted reports whether the collection was installed by Adopt (its
-// lifecycle is owned by the caller, not the registry).
-func (c *Collection) Adopted() bool { return c.adopted }
-
 // Ready reports the collection's build outcome without blocking:
 // nil once built, the build error if it failed, or a "still
 // recovering" error while the background build runs.
@@ -234,7 +231,7 @@ func (c *Collection) Ready() error {
 	case <-c.ready:
 		return c.err
 	default:
-		return fmt.Errorf("%w: collection %q is still recovering", ErrRegistry, c.name)
+		return fmt.Errorf("%w: collection %q is still recovering", errUnavailable, c.name)
 	}
 }
 
@@ -381,7 +378,7 @@ func (r *Registry) Adopt(name string, srv *service.Server) (*Collection, error) 
 // an overwrite.
 func (r *Registry) Create(name string, spec CollectionSpec) (col *Collection, created bool, err error) {
 	if !nameRE.MatchString(name) {
-		return nil, false, fmt.Errorf("%w: bad collection name %q (want %s)", ErrRegistry, name, nameRE)
+		return nil, false, fmt.Errorf("%w: bad collection name %q (want %s)", errInvalid, name, nameRE)
 	}
 	if err := spec.normalize(); err != nil {
 		return nil, false, err
@@ -406,7 +403,7 @@ func (r *Registry) register(name string, spec CollectionSpec) (col *Collection, 
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
-		return nil, false, fmt.Errorf("%w: registry is closed", errClosed)
+		return nil, false, fmt.Errorf("%w: registry is closed", errUnavailable)
 	}
 	if existing, ok := r.collections[name]; ok {
 		if existing.adopted {
@@ -418,12 +415,12 @@ func (r *Registry) register(name string, spec CollectionSpec) (col *Collection, 
 		return nil, false, fmt.Errorf("%w: collection %q already exists with a different spec", errConflict, name)
 	}
 	if len(r.collections) >= r.maxCols {
-		return nil, false, fmt.Errorf("%w: collection limit %d reached", errCapacity, r.maxCols)
+		return nil, false, fmt.Errorf("%w: collection limit %d reached", errForbidden, r.maxCols)
 	}
 	// The telemetry label vocabulary is append-only across churn; cap it
 	// so delete/create cycles cannot grow series without bound.
 	if !r.everNamed[name] && len(r.everNamed) >= 4*r.maxCols {
-		return nil, false, fmt.Errorf("%w: lifetime collection-name budget %d exhausted (reuse a previous name or restart)", errCapacity, 4*r.maxCols)
+		return nil, false, fmt.Errorf("%w: lifetime collection-name budget %d exhausted (reuse a previous name or restart)", errForbidden, 4*r.maxCols)
 	}
 	col = &Collection{name: name, spec: spec, ready: make(chan struct{})}
 	r.collections[name] = col
@@ -441,7 +438,7 @@ func (r *Registry) Get(name string) (*Collection, error) {
 	defer r.mu.Unlock()
 	col, ok := r.collections[name]
 	if !ok {
-		return nil, fmt.Errorf("%w: no collection %q", ErrRegistry, name)
+		return nil, fmt.Errorf("%w: no collection %q", errNotFound, name)
 	}
 	return col, nil
 }
@@ -454,11 +451,11 @@ func (r *Registry) Delete(name string) error {
 	col, ok := r.collections[name]
 	if !ok {
 		r.mu.Unlock()
-		return fmt.Errorf("%w: no collection %q", ErrRegistry, name)
+		return fmt.Errorf("%w: no collection %q", errNotFound, name)
 	}
 	if col.adopted {
 		r.mu.Unlock()
-		return fmt.Errorf("%w: collection %q is flag-configured and cannot be deleted", ErrRegistry, name)
+		return fmt.Errorf("%w: collection %q is flag-configured and cannot be deleted", errForbidden, name)
 	}
 	delete(r.collections, name)
 	err := r.persistManifestLocked()

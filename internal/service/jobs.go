@@ -55,16 +55,16 @@ func (p *MineParams) applyDefaults() {
 // anything is enqueued.
 func (p MineParams) validate() error {
 	if !(p.MinSupport > 0 && p.MinSupport <= 1) {
-		return fmt.Errorf("%w: minsup %v not in (0,1]", ErrService, p.MinSupport)
+		return fmt.Errorf("%w: minsup %v not in (0,1]", errInvalid, p.MinSupport)
 	}
 	if p.MinConf < 0 || p.MinConf > 1 {
-		return fmt.Errorf("%w: minconf %v not in [0,1]", ErrService, p.MinConf)
+		return fmt.Errorf("%w: minconf %v not in [0,1]", errInvalid, p.MinConf)
 	}
 	if p.Limit < 0 {
-		return fmt.Errorf("%w: negative limit %d", ErrService, p.Limit)
+		return fmt.Errorf("%w: negative limit %d", errInvalid, p.Limit)
 	}
 	if p.MaxLen < 0 {
-		return fmt.Errorf("%w: negative maxlen %d", ErrService, p.MaxLen)
+		return fmt.Errorf("%w: negative maxlen %d", errInvalid, p.MaxLen)
 	}
 	return nil
 }
@@ -89,7 +89,7 @@ const (
 
 // errServerClosed marks jobs failed because the server is shutting
 // down — a server condition (503), not a bad request.
-var errServerClosed = fmt.Errorf("%w: server shutting down", ErrService)
+var errServerClosed = fmt.Errorf("%w: server shutting down", errUnavailable)
 
 // JobResponse is the wire form of a mining job.
 type JobResponse struct {
@@ -267,7 +267,7 @@ func (st *jobStore) submit(p MineParams) (*job, error) {
 		if st.met != nil {
 			st.met.rejected.Inc()
 		}
-		return nil, fmt.Errorf("%w: job queue full (%d pending)", ErrService, jobQueueCapacity)
+		return nil, fmt.Errorf("%w: job queue full (%d pending)", errUnavailable, jobQueueCapacity)
 	}
 	st.jobs[j.id] = j
 	st.order = append(st.order, j.id)

@@ -116,15 +116,15 @@ func (s *Server) decodeFilter(raw json.RawMessage) (mining.Itemset, error) {
 	err := s.walkAttrObject(raw, "filter", func(j int, name string, dec *json.Decoder) error {
 		valTok, err := dec.Token()
 		if err != nil {
-			return fmt.Errorf("%w: bad filter JSON: %v", ErrService, err)
+			return fmt.Errorf("%w: bad filter JSON: %v", errInvalid, err)
 		}
 		cat, ok := valTok.(string)
 		if !ok {
-			return fmt.Errorf("%w: attribute %q condition must be a category name", ErrService, name)
+			return fmt.Errorf("%w: attribute %q condition must be a category name", errInvalid, name)
 		}
 		v := s.schema.Attrs[j].CategoryIndex(cat)
 		if v < 0 {
-			return fmt.Errorf("%w: unknown category %q for attribute %q", ErrService, cat, name)
+			return fmt.Errorf("%w: unknown category %q for attribute %q", errInvalid, cat, name)
 		}
 		items = append(items, mining.Item{Attr: j, Value: v})
 		return nil
@@ -134,7 +134,7 @@ func (s *Server) decodeFilter(raw json.RawMessage) (mining.Itemset, error) {
 	}
 	set, err := mining.NewItemset(items...)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrService, err)
+		return nil, fmt.Errorf("%w: %v", errInvalid, err)
 	}
 	return set, nil
 }
@@ -160,29 +160,29 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&qr); err != nil && !errors.Is(err, io.EOF) {
-		httpBodyError(w, err, "bad JSON")
+		WriteError(w, fmt.Errorf("%w: bad JSON: %w", errInvalid, err))
 		return
 	}
 	if len(qr.Filters) == 0 {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("%w: empty filter batch", ErrService))
+		WriteError(w, fmt.Errorf("%w: empty filter batch", errInvalid))
 		return
 	}
 	if len(qr.Filters) > s.queryLimit {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("%w: batch of %d filters exceeds limit %d", ErrService, len(qr.Filters), s.queryLimit))
+		WriteError(w, fmt.Errorf("%w: batch of %d filters exceeds limit %d", errInvalid, len(qr.Filters), s.queryLimit))
 		return
 	}
 	filters := make([]mining.Itemset, len(qr.Filters))
 	for i, raw := range qr.Filters {
 		f, err := s.decodeFilter(raw)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("filter %d: %w", i, err))
+			WriteError(w, fmt.Errorf("filter %d: %w", i, err))
 			return
 		}
 		filters[i] = f
 	}
 	window, err := s.windowOf(qr.Window, "query without the window field")
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		WriteError(w, err)
 		return
 	}
 	// One load yields a consistent (counter, generation) pair even if a
@@ -191,12 +191,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	ests, n, version, err := s.estimates(ref.counter, filters, window)
 	if err != nil {
 		// Filters were validated above, so any estimator error is a
-		// server bug.
-		httpError(w, http.StatusInternalServerError, err)
+		// server bug (500: it has no kind).
+		WriteError(w, err)
 		return
 	}
 	if n == 0 {
-		httpError(w, http.StatusConflict, errEmpty(qr.Window))
+		WriteError(w, errEmpty(qr.Window))
 		return
 	}
 	resp := QueryResponse{
@@ -252,13 +252,13 @@ func (s *Server) windowOf(raw, remedy string) (time.Duration, error) {
 	}
 	window, err := time.ParseDuration(raw)
 	if err != nil {
-		return 0, fmt.Errorf("%w: bad window %q: %v", ErrService, raw, err)
+		return 0, fmt.Errorf("%w: bad window %q: %v", errInvalid, raw, err)
 	}
 	if window <= 0 {
-		return 0, fmt.Errorf("%w: window %q must be positive", ErrService, raw)
+		return 0, fmt.Errorf("%w: window %q must be positive", errInvalid, raw)
 	}
 	if s.window == nil {
-		return 0, fmt.Errorf("%w: collection is not windowed; %s", ErrService, remedy)
+		return 0, fmt.Errorf("%w: collection is not windowed; %s", errInvalid, remedy)
 	}
 	return window, nil
 }

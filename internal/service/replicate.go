@@ -34,24 +34,24 @@ import (
 // ring expiry is wall-clock-defined, so a delta stream cannot reproduce
 // the collection's content elsewhere (deltas cannot express expiry
 // subtractions at all).
-var errWindowedServer = fmt.Errorf("%w: collection is a sliding window (in-memory ring); replication is unavailable", ErrService)
+var errWindowedServer = fmt.Errorf("%w: collection is a sliding window (in-memory ring); replication is unavailable", errConflict)
 
 // handleReplicate serves one replication pull.
 func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	// Every counter but a windowed server's ring is a ShardedCounter.
 	counter, ok := s.ctr().(*mining.ShardedCounter)
 	if !ok {
-		httpError(w, http.StatusConflict, errWindowedServer)
+		WriteError(w, errWindowedServer)
 		return
 	}
 	since, err := queryUint64(r, "since", 0)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		WriteError(w, err)
 		return
 	}
 	gen, err := queryUint64(r, "gen", 0)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		WriteError(w, err)
 		return
 	}
 	// A caller chained onto a different counter object — a different
@@ -66,7 +66,7 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	}
 	d, err := counter.DeltaSince(since)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
+		WriteError(w, err) // a server fault: 500
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -123,7 +123,7 @@ func (s *Server) Coordinator() *federation.Coordinator { return s.fed }
 func (s *Server) PublishedSchema() *dataset.Schema { return s.schema }
 
 // errFederated rejects direct submissions on a coordinator.
-var errFederated = fmt.Errorf("%w: federation coordinator does not accept submissions; submit to a collector site", ErrService)
+var errFederated = fmt.Errorf("%w: federation coordinator does not accept submissions; submit to a collector site", errForbidden)
 
 func queryUint64(r *http.Request, key string, def uint64) (uint64, error) {
 	raw := r.URL.Query().Get(key)
@@ -132,7 +132,7 @@ func queryUint64(r *http.Request, key string, def uint64) (uint64, error) {
 	}
 	v, err := strconv.ParseUint(raw, 10, 64)
 	if err != nil {
-		return 0, fmt.Errorf("%w: bad %s=%q", ErrService, key, raw)
+		return 0, fmt.Errorf("%w: bad %s=%q", errInvalid, key, raw)
 	}
 	return v, nil
 }

@@ -132,7 +132,7 @@ func TestClientErrorsCarryReason(t *testing.T) {
 				http.Error(w, reason, status) // a plain-text body, as a proxy would send
 				return
 			}
-			httpError(w, status, fmt.Errorf("%w: %s", ErrService, reason))
+			writeJSON(w, status, map[string]string{"error": reason})
 		}))
 		for _, tc := range calls {
 			c := wireClient(t, ts)

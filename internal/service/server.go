@@ -31,12 +31,9 @@ import (
 	"repro/internal/telemetry"
 )
 
-// ErrService is returned for invalid service configuration or requests.
-var ErrService = errors.New("service: invalid input")
-
-// errNoSubmissions distinguishes "nothing collected yet" (409) from
-// malformed requests (400) across the sync and job mining paths.
-var errNoSubmissions = fmt.Errorf("%w: no submissions yet", ErrService)
+// errNoSubmissions refuses a read of a collection that holds no
+// records, on the query and both mining paths.
+var errNoSubmissions = fmt.Errorf("%w: no submissions yet", errConflict)
 
 // Server is the miner-side endpoint. It never sees unperturbed data: it
 // ingests whatever (already-perturbed) records clients submit into an
@@ -494,17 +491,17 @@ type BoolRecordJSON map[string][]string
 // decodeRecord validates and converts a wire record.
 func (s *Server) decodeRecord(rj RecordJSON) (dataset.Record, error) {
 	if len(rj) != s.schema.M() {
-		return nil, fmt.Errorf("%w: record has %d attributes, schema has %d", ErrService, len(rj), s.schema.M())
+		return nil, fmt.Errorf("%w: record has %d attributes, schema has %d", errInvalid, len(rj), s.schema.M())
 	}
 	rec := make(dataset.Record, s.schema.M())
 	for j, a := range s.schema.Attrs {
 		cat, ok := rj[a.Name]
 		if !ok {
-			return nil, fmt.Errorf("%w: missing attribute %q", ErrService, a.Name)
+			return nil, fmt.Errorf("%w: missing attribute %q", errInvalid, a.Name)
 		}
 		v := a.CategoryIndex(cat)
 		if v < 0 {
-			return nil, fmt.Errorf("%w: unknown category %q for attribute %q", ErrService, cat, a.Name)
+			return nil, fmt.Errorf("%w: unknown category %q for attribute %q", errInvalid, cat, a.Name)
 		}
 		rec[j] = v
 	}
@@ -521,24 +518,24 @@ func (s *Server) walkAttrObject(raw json.RawMessage, kind string, visit func(att
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	tok, err := dec.Token()
 	if err != nil {
-		return fmt.Errorf("%w: bad %s JSON: %v", ErrService, kind, err)
+		return fmt.Errorf("%w: bad %s JSON: %v", errInvalid, kind, err)
 	}
 	if d, ok := tok.(json.Delim); !ok || d != '{' {
-		return fmt.Errorf("%w: %s must be an object keyed by attribute names", ErrService, kind)
+		return fmt.Errorf("%w: %s must be an object keyed by attribute names", errInvalid, kind)
 	}
 	seen := make(map[int]bool)
 	for dec.More() {
 		keyTok, err := dec.Token()
 		if err != nil {
-			return fmt.Errorf("%w: bad %s JSON: %v", ErrService, kind, err)
+			return fmt.Errorf("%w: bad %s JSON: %v", errInvalid, kind, err)
 		}
 		name := keyTok.(string) // object keys are always strings
 		j := s.attrIndex(name)
 		if j < 0 {
-			return fmt.Errorf("%w: unknown attribute %q", ErrService, name)
+			return fmt.Errorf("%w: unknown attribute %q", errInvalid, name)
 		}
 		if seen[j] {
-			return fmt.Errorf("%w: duplicate attribute %q in %s", ErrService, name, kind)
+			return fmt.Errorf("%w: duplicate attribute %q in %s", errInvalid, name, kind)
 		}
 		seen[j] = true
 		if err := visit(j, name, dec); err != nil {
@@ -546,7 +543,7 @@ func (s *Server) walkAttrObject(raw json.RawMessage, kind string, visit func(att
 		}
 	}
 	if _, err := dec.Token(); err != nil { // consume the closing '}'
-		return fmt.Errorf("%w: bad %s JSON: %v", ErrService, kind, err)
+		return fmt.Errorf("%w: bad %s JSON: %v", errInvalid, kind, err)
 	}
 	return nil
 }
@@ -560,16 +557,16 @@ func (s *Server) decodeBoolSubmission(raw json.RawMessage) ([]mining.Item, error
 	err := s.walkAttrObject(raw, "submission", func(j int, name string, dec *json.Decoder) error {
 		var cats []string
 		if err := dec.Decode(&cats); err != nil {
-			return fmt.Errorf("%w: attribute %q must carry a category list: %v", ErrService, name, err)
+			return fmt.Errorf("%w: attribute %q must carry a category list: %v", errInvalid, name, err)
 		}
 		seenVal := make(map[int]bool, len(cats))
 		for _, cat := range cats {
 			v := s.schema.Attrs[j].CategoryIndex(cat)
 			if v < 0 {
-				return fmt.Errorf("%w: unknown category %q for attribute %q", ErrService, cat, name)
+				return fmt.Errorf("%w: unknown category %q for attribute %q", errInvalid, cat, name)
 			}
 			if seenVal[v] {
-				return fmt.Errorf("%w: duplicate category %q for attribute %q", ErrService, cat, name)
+				return fmt.Errorf("%w: duplicate category %q for attribute %q", errInvalid, cat, name)
 			}
 			seenVal[v] = true
 			items = append(items, mining.Item{Attr: j, Value: v})
@@ -584,22 +581,22 @@ func (s *Server) decodeBoolSubmission(raw json.RawMessage) ([]mining.Item, error
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.fed != nil {
-		httpError(w, http.StatusForbidden, errFederated)
+		WriteError(w, errFederated)
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
 	var raw json.RawMessage
 	if err := json.NewDecoder(r.Body).Decode(&raw); err != nil {
-		httpBodyError(w, err, "bad JSON")
+		WriteError(w, fmt.Errorf("%w: bad JSON: %w", errInvalid, err))
 		return
 	}
 	items, err := s.decodeSubmissionItems(raw)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
+	if err == nil {
+		err = s.ctr().Ingest(items)
 	}
-	if err := s.ctr().Ingest(items); err != nil {
-		httpError(w, http.StatusBadRequest, err)
+	if err != nil {
+		// The counter refuses only records outside the schema.
+		WriteError(w, fmt.Errorf("%w%w", err, ErrInvalid))
 		return
 	}
 	writeJSON(w, http.StatusAccepted, map[string]int{"records": s.N()})
@@ -614,7 +611,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // longer leave earlier records of the batch applied.
 func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	if s.fed != nil {
-		httpError(w, http.StatusForbidden, errFederated)
+		WriteError(w, errFederated)
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
@@ -624,20 +621,20 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	var batch []json.RawMessage
 	if err := json.NewDecoder(r.Body).Decode(&batch); err != nil {
-		httpBodyError(w, err, "bad JSON")
+		WriteError(w, fmt.Errorf("%w: bad JSON: %w", errInvalid, err))
 		return
 	}
 	records := make([][]mining.Item, len(batch))
 	for i, raw := range batch {
 		items, err := s.decodeSubmissionItems(raw)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("record %d: %w", i, err))
+			WriteError(w, fmt.Errorf("record %d: %w", i, err))
 			return
 		}
 		records[i] = items
 	}
 	if err := s.ctr().IngestBatch(records); err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		WriteError(w, fmt.Errorf("%w%w", err, ErrInvalid))
 		return
 	}
 	writeJSON(w, http.StatusAccepted, map[string]int{"records": s.N()})
@@ -651,24 +648,21 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSubmitBatchBinary(w http.ResponseWriter, r *http.Request) {
 	fp := r.Header.Get(FingerprintHeader)
 	if fp == "" {
-		httpError(w, http.StatusBadRequest,
-			fmt.Errorf("%w: binary batch without %s header", ErrService, FingerprintHeader))
+		WriteError(w, fmt.Errorf("%w: binary batch without %s header", errInvalid, FingerprintHeader))
 		return
 	}
 	if want := s.scheme.Fingerprint(); fp != want {
-		httpError(w, http.StatusBadRequest,
-			fmt.Errorf("%w: scheme fingerprint %q does not match the server contract %q", ErrService, fp, want))
+		WriteError(w, fmt.Errorf("%w: scheme fingerprint %q does not match the server contract %q", errInvalid, fp, want))
 		return
 	}
 	scratch := batchPool.Get().(*batchScratch)
 	defer scratch.release()
 	records, err := scratch.decode(r.Body)
-	if err != nil {
-		httpBodyError(w, err, "bad binary batch")
-		return
+	if err == nil {
+		err = s.ctr().IngestBatch(records)
 	}
-	if err := s.ctr().IngestBatch(records); err != nil {
-		httpError(w, http.StatusBadRequest, err)
+	if err != nil {
+		WriteError(w, fmt.Errorf("%w%w", err, ErrInvalid))
 		return
 	}
 	writeJSON(w, http.StatusAccepted, map[string]int{"records": s.N()})
@@ -683,7 +677,7 @@ func (s *Server) decodeSubmissionItems(raw json.RawMessage) ([]mining.Item, erro
 	if s.scheme.Name() == mining.SchemeGamma {
 		var rj RecordJSON
 		if err := json.Unmarshal(raw, &rj); err != nil {
-			return nil, fmt.Errorf("%w: bad JSON: %v", ErrService, err)
+			return nil, fmt.Errorf("%w: bad JSON: %v", errInvalid, err)
 		}
 		rec, err := s.decodeRecord(rj)
 		if err != nil {
@@ -850,37 +844,26 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 	if err == nil {
 		_, err = s.windowOf(p.Window, mineRemedy)
 	}
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
+	if err == nil && s.N() == 0 {
+		err = errNoSubmissions
 	}
-	if s.N() == 0 {
-		httpError(w, http.StatusConflict, errNoSubmissions)
-		return
+	var j *job
+	if err == nil {
+		j, err = s.jobs.submit(p)
 	}
-	j, err := s.jobs.submit(p)
 	if err != nil {
-		httpError(w, http.StatusServiceUnavailable, err)
+		WriteError(w, err)
 		return
 	}
 	if err := j.await(r.Context()); err != nil {
 		// Client went away; the job still completes and stays pollable.
-		httpError(w, http.StatusServiceUnavailable, fmt.Errorf("%w: canceled while awaiting job %s", ErrService, j.id))
+		WriteError(w, fmt.Errorf("%w: canceled while awaiting job %s", errUnavailable, j.id))
 		return
 	}
-	resp := s.jobs.snapshot(j, true)
-	switch resp.State {
-	case JobDone:
+	if resp := s.jobs.snapshot(j, true); resp.State != JobDone {
+		WriteError(w, j.err)
+	} else {
 		writeJSON(w, http.StatusOK, resp.Result)
-	default:
-		status := http.StatusBadRequest
-		switch {
-		case errors.Is(j.err, errNoSubmissions):
-			status = http.StatusConflict
-		case errors.Is(j.err, errServerClosed):
-			status = http.StatusServiceUnavailable
-		}
-		httpError(w, status, j.err)
 	}
 }
 
@@ -891,7 +874,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	var p MineParams
 	dec := json.NewDecoder(r.Body)
 	if err := dec.Decode(&p); err != nil && !errors.Is(err, io.EOF) {
-		httpBodyError(w, err, "bad JSON")
+		WriteError(w, fmt.Errorf("%w: bad JSON: %w", errInvalid, err))
 		return
 	}
 	// In the JSON API an absent field decodes to zero, so zero values
@@ -901,13 +884,12 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	if err == nil {
 		_, err = s.windowOf(p.Window, mineRemedy)
 	}
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
+	var j *job
+	if err == nil {
+		j, err = s.jobs.submit(p)
 	}
-	j, err := s.jobs.submit(p)
 	if err != nil {
-		httpError(w, http.StatusServiceUnavailable, err)
+		WriteError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, s.jobs.snapshot(j, false))
@@ -919,7 +901,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 	j := s.jobs.get(r.PathValue("id"))
 	if j == nil {
-		httpError(w, http.StatusNotFound, fmt.Errorf("%w: unknown job %q", ErrService, r.PathValue("id")))
+		WriteError(w, fmt.Errorf("%w: unknown job %q", errNotFound, r.PathValue("id")))
 		return
 	}
 	writeJSON(w, http.StatusOK, s.jobs.snapshot(j, true))
@@ -1071,7 +1053,7 @@ func queryFloat(r *http.Request, key string, def float64) (float64, error) {
 	}
 	v, err := strconv.ParseFloat(raw, 64)
 	if err != nil {
-		return 0, fmt.Errorf("%w: bad %s=%q", ErrService, key, raw)
+		return 0, fmt.Errorf("%w: bad %s=%q", errInvalid, key, raw)
 	}
 	return v, nil
 }
@@ -1083,7 +1065,7 @@ func queryInt(r *http.Request, key string, def int) (int, error) {
 	}
 	v, err := strconv.Atoi(raw)
 	if err != nil || v < 0 {
-		return 0, fmt.Errorf("%w: bad %s=%q", ErrService, key, raw)
+		return 0, fmt.Errorf("%w: bad %s=%q", errInvalid, key, raw)
 	}
 	return v, nil
 }
@@ -1092,8 +1074,4 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
-}
-
-func httpError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
 }

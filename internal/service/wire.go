@@ -2,12 +2,10 @@ package service
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"math"
 	"mime"
-	"net/http"
 	"sync"
 
 	"repro/internal/mining"
@@ -118,9 +116,9 @@ func (b *batchScratch) readBody(r io.Reader) error {
 	}
 }
 
-// errWire marks a malformed binary batch. Wraps ErrService so the
-// handler's error mapping (400) applies unchanged.
-var errWire = fmt.Errorf("%w: bad binary batch", ErrService)
+// errWire marks a malformed binary batch, or one whose body would not
+// read (a tripped -max-body limit stays in the chain for statusOf).
+var errWire = fmt.Errorf("%w: bad binary batch", errInvalid)
 
 // uvarint decodes one varint at off, rejecting truncation and values
 // above maxWireIndex (indexes and counts alike — a batch can never
@@ -141,7 +139,7 @@ func (b *batchScratch) uvarint(off int) (int, int, error) {
 // it, so a hostile header cannot force a huge allocation.
 func (b *batchScratch) decode(r io.Reader) ([][]mining.Item, error) {
 	if err := b.readBody(r); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", errWire, err)
 	}
 	body := b.body
 	if len(body) < len(batchMagic) || string(body[:len(batchMagic)]) != batchMagic {
@@ -190,20 +188,4 @@ func (b *batchScratch) decode(r io.Reader) ([][]mining.Item, error) {
 		lo += n
 	}
 	return b.records, nil
-}
-
-// httpBodyError maps a request-body read/decode failure: 413 when the
-// MaxBytesReader limit tripped, 400 otherwise.
-func httpBodyError(w http.ResponseWriter, err error, what string) {
-	var mbe *http.MaxBytesError
-	if errors.As(err, &mbe) {
-		httpError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("%w: request body exceeds the %d-byte limit", ErrService, mbe.Limit))
-		return
-	}
-	if errors.Is(err, ErrService) {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	httpError(w, http.StatusBadRequest, fmt.Errorf("%w: %s: %v", ErrService, what, err))
 }
