@@ -16,21 +16,24 @@ import (
 type BoolMapping struct {
 	Schema  *dataset.Schema
 	Offsets []int // bit position of (attribute j, value 0)
+	Cards   []int // cardinality of attribute j
 	Mb      int
 }
 
-// NewBoolMapping precomputes bit offsets.
+// NewBoolMapping precomputes bit offsets and cardinalities.
 func NewBoolMapping(s *dataset.Schema) (*BoolMapping, error) {
 	offsets := make([]int, s.M())
+	cards := make([]int, s.M())
 	total := 0
 	for j, a := range s.Attrs {
 		offsets[j] = total
-		total += a.Cardinality()
+		cards[j] = a.Cardinality()
+		total += cards[j]
 	}
 	if total > 64 {
 		return nil, fmt.Errorf("%w: Mb = %d exceeds 64-bit bitset capacity", ErrPerturb, total)
 	}
-	return &BoolMapping{Schema: s, Offsets: offsets, Mb: total}, nil
+	return &BoolMapping{Schema: s, Offsets: offsets, Cards: cards, Mb: total}, nil
 }
 
 // Bit returns the bit position of (attribute, value).

@@ -133,6 +133,14 @@ func TestIngestBatchRejectsInvalidAtomically(t *testing.T) {
 		{"duplicate-item", func(rec []Item) []Item {
 			return append(rec, rec[0])
 		}},
+		{"negative-attr", func(rec []Item) []Item {
+			rec[0].Attr = -1
+			return rec
+		}},
+		{"negative-value", func(rec []Item) []Item {
+			rec[0].Value = -1
+			return rec
+		}},
 	}
 	for _, ls := range liveSchemes(t, schema) {
 		t.Run(ls.name, func(t *testing.T) {

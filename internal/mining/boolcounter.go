@@ -126,21 +126,27 @@ func (p boolPrepared) recordCount() int { return len(p.rows) }
 
 // prepareIngest validates each item-list record (items in range, no
 // duplicates) and packs it into its row bitset without touching counter
-// state.
+// state. Items are checked against the mapping's offset and cardinality
+// tables; an unsigned compare also refuses a negative index, and Bit
+// runs only to word the refusal.
 func (c *boolCore) prepareIngest(records [][]Item) (preparedIngest, error) {
 	m := c.est.mapping()
+	cards := m.Cards
+	offs := m.Offsets[:len(cards)]
 	rows := make([]uint64, len(records))
 	for i, items := range records {
 		var row uint64
 		for _, it := range items {
-			b, err := m.Bit(it.Attr, it.Value)
-			if err != nil {
+			a, v := uint(it.Attr), uint(it.Value)
+			if a >= uint(len(cards)) || v >= uint(cards[a]) {
+				_, err := m.Bit(it.Attr, it.Value)
 				return nil, fmt.Errorf("%w: record %d: %v", ErrMining, i, err)
 			}
-			if row&(1<<uint(b)) != 0 {
+			bit := uint64(1) << (uint(offs[a]) + v)
+			if row&bit != 0 {
 				return nil, fmt.Errorf("%w: record %d: duplicate item (attr %d, value %d) in perturbed record", ErrMining, i, it.Attr, it.Value)
 			}
-			row |= 1 << uint(b)
+			row |= bit
 		}
 		rows[i] = row
 	}

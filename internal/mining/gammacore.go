@@ -49,10 +49,12 @@ func (p gammaPrepared) recordCount() int { return p.n }
 
 // prepareIngest validates each item-list record against the gamma
 // contract (exactly one in-range item per attribute, no duplicates) and
-// converts it to its dense record form. No counter state is read or
-// written — errors leave every shard untouched.
+// converts it to its dense record form, checking values against the
+// core's cardinality table. No counter state is read or written —
+// errors leave every shard untouched.
 func (c *gammaCore) prepareIngest(records [][]Item) (preparedIngest, error) {
 	m := c.schema.M()
+	cards := c.cards[:m]
 	vals := make([]int, len(records)*m)
 	for i, items := range records {
 		if len(items) != m {
@@ -63,16 +65,17 @@ func (c *gammaCore) prepareIngest(records [][]Item) (preparedIngest, error) {
 			rec[j] = -1
 		}
 		for _, it := range items {
-			if it.Attr < 0 || it.Attr >= m {
+			a, v := uint(it.Attr), uint(it.Value)
+			if a >= uint(len(rec)) {
 				return nil, fmt.Errorf("%w: record %d: attribute %d out of range", ErrMining, i, it.Attr)
 			}
-			if rec[it.Attr] != -1 {
+			if rec[a] != -1 {
 				return nil, fmt.Errorf("%w: record %d: duplicate attribute %d in gamma record", ErrMining, i, it.Attr)
 			}
-			if it.Value < 0 || it.Value >= c.schema.Attrs[it.Attr].Cardinality() {
+			if v >= uint(cards[a]) {
 				return nil, fmt.Errorf("%w: record %d: value %d out of range for attribute %q", ErrMining, i, it.Value, c.schema.Attrs[it.Attr].Name)
 			}
-			rec[it.Attr] = it.Value
+			rec[a] = int(v)
 		}
 	}
 	return gammaPrepared{vals: vals, n: len(records)}, nil

@@ -108,6 +108,7 @@ func TestEveryDocumentedRegistryRefusal(t *testing.T) {
 	}{
 		{"bad name", ts, put, "/v1/collections/UPPER", string(spec), http.StatusBadRequest, "bad collection name"},
 		{"bad spec JSON", ts, put, "/v1/collections/raw", "{nope", http.StatusBadRequest, "bad spec JSON"},
+		{"spec over the body cap", ts, put, "/v1/collections/huge", `{"schema":{"name":"` + strings.Repeat("x", 2<<20) + `"}}`, http.StatusRequestEntityTooLarge, "request body too large"},
 		{"spec without schema", ts, put, "/v1/collections/noschema", `{"rho1":0.05,"rho2":0.5}`, http.StatusBadRequest, "spec has no schema"},
 		{"bad privacy contract", ts, put, "/v1/collections/rho", strings.Replace(string(spec), `"rho1":0.05`, `"rho1":0.9`, 1), http.StatusBadRequest, "registry: "},
 		{"different spec under a live name", ts, put, "/v1/collections/alpha", string(otherSpec), http.StatusConflict, "already exists with a different spec"},

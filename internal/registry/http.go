@@ -111,7 +111,7 @@ func (r *Registry) handlePut(w http.ResponseWriter, req *http.Request) {
 	dec := json.NewDecoder(req.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		service.WriteError(w, fmt.Errorf("%w: bad spec JSON: %v", errInvalid, err))
+		service.WriteError(w, fmt.Errorf("%w: bad spec JSON: %w", errInvalid, err))
 		return
 	}
 	col, created, err := r.Create(req.PathValue("name"), spec)

@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/mining"
 )
 
 // refusalCase is one documented refusal: a request and the status and
@@ -68,7 +70,8 @@ func checkRefusals(t *testing.T, cases []refusalCase) {
 // documents through a real server.
 func TestEveryDocumentedRefusal(t *testing.T) {
 	plainSrv, plain := startServer(t, WithMaxBody(1024), WithQueryLimit(4))
-	_, mask := startServer(t, WithScheme("mask"))
+	maskSrv, mask := startServer(t, WithScheme("mask"))
+	cutpasteSrv, cutpaste := startServer(t, WithScheme("cutpaste"))
 	_, windowed := startServer(t, WithWindow(2, time.Minute))
 	_, coordinator := startServer(t, WithPeers([]string{"http://127.0.0.1:1"}))
 	closedSrv, closed := startServer(t)
@@ -103,6 +106,11 @@ func TestEveryDocumentedRefusal(t *testing.T) {
 	}
 
 	fp := map[string]string{"Content-Type": BatchContentTypeBinary, FingerprintHeader: plainSrv.scheme.Fingerprint()}
+	maskFP := map[string]string{"Content-Type": BatchContentTypeBinary, FingerprintHeader: maskSrv.scheme.Fingerprint()}
+	cutpasteFP := map[string]string{"Content-Type": BatchContentTypeBinary, FingerprintHeader: cutpasteSrv.scheme.Fingerprint()}
+	boolBatch := func(bad ...mining.Item) string {
+		return string(appendBinaryBatch(nil, [][]mining.Item{{{Attr: 0, Value: 0}}, bad}))
+	}
 	noFP := map[string]string{"Content-Type": BatchContentTypeBinary}
 	foreignFP := map[string]string{"Content-Type": BatchContentTypeBinary, FingerprintHeader: "other"}
 	tooLarge := `{"a":"` + strings.Repeat("x", 2048) + `"}`
@@ -131,6 +139,20 @@ func TestEveryDocumentedRefusal(t *testing.T) {
 		{"binary batch count past the body", plain, post, "/v1/submit-batch", fp, "FRB1\x05\x00", http.StatusBadRequest, "records in a"},
 		{"binary batch with trailing bytes", plain, post, "/v1/submit-batch", fp, "FRB1\x00\x00", http.StatusBadRequest, "trailing bytes"},
 		{"binary record out of range", plain, post, "/v1/submit-batch", fp, "FRB1\x01\x03\x00\x09\x01\x00\x02\x00", http.StatusBadRequest, "out of range"},
+		// Boolean binary records, refused in the counter's words; the
+		// valid record before the bad one is not counted either.
+		{"binary boolean attribute out of range", mask, post, "/v1/submit-batch", maskFP, boolBatch(mining.Item{Attr: 3, Value: 0}), http.StatusBadRequest,
+			"mining: invalid input: record 1: core: invalid perturbation setup: attribute 3 out of range"},
+		{"binary boolean value out of range", mask, post, "/v1/submit-batch", maskFP, boolBatch(mining.Item{Attr: 1, Value: 2}), http.StatusBadRequest,
+			"mining: invalid input: record 1: core: invalid perturbation setup: value 2 out of range for attribute 1"},
+		{"binary boolean duplicate item", mask, post, "/v1/submit-batch", maskFP, boolBatch(mining.Item{Attr: 0, Value: 1}, mining.Item{Attr: 0, Value: 1}), http.StatusBadRequest,
+			"mining: invalid input: record 1: duplicate item (attr 0, value 1) in perturbed record"},
+		{"binary C&P attribute out of range", cutpaste, post, "/v1/submit-batch", cutpasteFP, boolBatch(mining.Item{Attr: 3, Value: 0}), http.StatusBadRequest,
+			"mining: invalid input: record 1: core: invalid perturbation setup: attribute 3 out of range"},
+		{"binary C&P value out of range", cutpaste, post, "/v1/submit-batch", cutpasteFP, boolBatch(mining.Item{Attr: 1, Value: 2}), http.StatusBadRequest,
+			"mining: invalid input: record 1: core: invalid perturbation setup: value 2 out of range for attribute 1"},
+		{"binary C&P duplicate item", cutpaste, post, "/v1/submit-batch", cutpasteFP, boolBatch(mining.Item{Attr: 0, Value: 1}, mining.Item{Attr: 0, Value: 1}), http.StatusBadRequest,
+			"mining: invalid input: record 1: duplicate item (attr 0, value 1) in perturbed record"},
 		{"coordinator submit", coordinator, post, "/v1/submit", nil, record, http.StatusForbidden, "does not accept submissions"},
 		{"coordinator batch", coordinator, post, "/v1/submit-batch", nil, "[" + record + "]", http.StatusForbidden, "does not accept submissions"},
 
@@ -165,6 +187,9 @@ func TestEveryDocumentedRefusal(t *testing.T) {
 		{"replicate bad gen", plain, get, "/v1/replicate?gen=-1", nil, "", http.StatusBadRequest, "bad gen"},
 		{"replicate a windowed collection", windowed, get, "/v1/replicate", nil, "", http.StatusConflict, "sliding window"},
 	})
+	if maskSrv.N() != 0 || cutpasteSrv.N() != 0 {
+		t.Errorf("refused submissions counted: MASK N=%d, C&P N=%d", maskSrv.N(), cutpasteSrv.N())
+	}
 }
 
 // TestStatusOfKinds: an error without a kind is a server fault, a

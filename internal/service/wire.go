@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"mime"
+	"slices"
 	"sync"
 
 	"repro/internal/mining"
@@ -156,15 +157,28 @@ func (b *batchScratch) decode(r io.Reader) ([][]mining.Item, error) {
 	}
 	b.items = b.items[:0]
 	b.lens = b.lens[:0]
+	// Almost every item count, attr and value of a real batch is below
+	// 128, a one-byte varint: those are read inline, and anything longer
+	// goes through uvarint with its checks.
 	for i := 0; i < count; i++ {
 		var m int
-		if m, off, err = b.uvarint(off); err != nil {
+		if off < len(body) && body[off] < 0x80 {
+			m, off = int(body[off]), off+1
+		} else if m, off, err = b.uvarint(off); err != nil {
 			return nil, fmt.Errorf("record %d: %w", i, err)
 		}
 		if m > (len(body)-off)/2 {
 			return nil, fmt.Errorf("%w: record %d claims %d items with %d bytes left", errWire, i, m, len(body)-off)
 		}
-		for j := 0; j < m; j++ {
+		lo := len(b.items)
+		b.items = slices.Grow(b.items, m)[:lo+m]
+		rec := b.items[lo:]
+		for j := range rec {
+			if off+1 < len(body) && body[off]|body[off+1] < 0x80 {
+				rec[j] = mining.Item{Attr: int(body[off]), Value: int(body[off+1])}
+				off += 2
+				continue
+			}
 			var attr, value int
 			if attr, off, err = b.uvarint(off); err != nil {
 				return nil, fmt.Errorf("record %d item %d: %w", i, j, err)
@@ -172,7 +186,7 @@ func (b *batchScratch) decode(r io.Reader) ([][]mining.Item, error) {
 			if value, off, err = b.uvarint(off); err != nil {
 				return nil, fmt.Errorf("record %d item %d: %w", i, j, err)
 			}
-			b.items = append(b.items, mining.Item{Attr: attr, Value: value})
+			rec[j] = mining.Item{Attr: attr, Value: value}
 		}
 		b.lens = append(b.lens, m)
 	}

@@ -3,7 +3,9 @@ package service
 import (
 	"bytes"
 	"cmp"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -464,4 +466,143 @@ func FuzzSubmitBatchBinary(f *testing.F) {
 			t.Fatalf("binary batch of %d bytes returned %d", len(body), rec.Code)
 		}
 	})
+}
+
+// referenceDecode decodes a binary batch with every varint read by
+// binary.Uvarint and no fast path: the oracle FuzzBinaryBatchDecode
+// holds batchScratch.decode to, error words included.
+func referenceDecode(body []byte) ([][]mining.Item, error) {
+	uvarint := func(off int) (int, int, error) {
+		v, n := binary.Uvarint(body[off:])
+		if n <= 0 || v > maxWireIndex {
+			return 0, 0, fmt.Errorf("%w: bad varint at offset %d", errWire, off)
+		}
+		return int(v), off + n, nil
+	}
+	if len(body) < len(batchMagic) || string(body[:len(batchMagic)]) != batchMagic {
+		return nil, fmt.Errorf("%w: missing %q magic", errWire, batchMagic)
+	}
+	count, off, err := uvarint(len(batchMagic))
+	if err != nil {
+		return nil, err
+	}
+	if count > len(body)-off {
+		return nil, fmt.Errorf("%w: %d records in a %d-byte body", errWire, count, len(body))
+	}
+	var records [][]mining.Item
+	for i := 0; i < count; i++ {
+		var m int
+		if m, off, err = uvarint(off); err != nil {
+			return nil, fmt.Errorf("record %d: %w", i, err)
+		}
+		if m > (len(body)-off)/2 {
+			return nil, fmt.Errorf("%w: record %d claims %d items with %d bytes left", errWire, i, m, len(body)-off)
+		}
+		items := []mining.Item{}
+		for j := 0; j < m; j++ {
+			var attr, value int
+			if attr, off, err = uvarint(off); err != nil {
+				return nil, fmt.Errorf("record %d item %d: %w", i, j, err)
+			}
+			if value, off, err = uvarint(off); err != nil {
+				return nil, fmt.Errorf("record %d item %d: %w", i, j, err)
+			}
+			items = append(items, mining.Item{Attr: attr, Value: value})
+		}
+		records = append(records, items)
+	}
+	if off != len(body) {
+		return nil, fmt.Errorf("%w: %d trailing bytes after %d records", errWire, len(body)-off, count)
+	}
+	return records, nil
+}
+
+// FuzzBinaryBatchDecode: for every body, the pooled decoder and
+// referenceDecode agree on accept or reject, on the error's words, and
+// on every decoded item. The seeds reach both the one-byte fast path
+// and the multi-byte fallback.
+func FuzzBinaryBatchDecode(f *testing.F) {
+	wide := func(n int) []mining.Item {
+		items := make([]mining.Item, n)
+		for j := range items {
+			items[j] = mining.Item{Attr: j % 3, Value: j}
+		}
+		return items
+	}
+	f.Add(appendBinaryBatch(nil, [][]mining.Item{{{Attr: 0, Value: 1}, {Attr: 2, Value: 3}}, {}}))
+	f.Add(appendBinaryBatch(nil, [][]mining.Item{{{Attr: 128, Value: 0}, {Attr: 1, Value: 300}}}))
+	f.Add(appendBinaryBatch(nil, [][]mining.Item{wide(130)}))
+	f.Add(appendBinaryBatch(nil, make([][]mining.Item, 1<<14)))
+	// A one-byte attr followed by a two-byte value.
+	f.Add([]byte("FRB1\x01\x01\x05\x80\x01"))
+	// A 10-byte overlong varint as the item count, and as an attr.
+	f.Add([]byte("FRB1\x01\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"))
+	f.Add([]byte("FRB1\x01\x01\x80\x80\x80\x80\x80\x80\x80\x80\x80\x00\x00"))
+	f.Add(appendBinaryBatch(nil, [][]mining.Item{{{Attr: 0, Value: maxWireIndex + 1}}}))
+	f.Add(appendBinaryBatch(nil, [][]mining.Item{{{Attr: 0, Value: maxWireIndex}}}))
+	f.Add([]byte("FRB1\x01\x02\x00"))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		want, wantErr := referenceDecode(body)
+		sc := batchPool.Get().(*batchScratch)
+		defer sc.release()
+		got, err := sc.decode(bytes.NewReader(body))
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("decode error %v, reference error %v", err, wantErr)
+		}
+		if err != nil {
+			return
+		}
+		if len(got) != len(want) {
+			t.Fatalf("decoded %d records, reference %d", len(got), len(want))
+		}
+		for i := range want {
+			if !slices.Equal(got[i], want[i]) {
+				t.Fatalf("record %d: decoded %v, reference %v", i, got[i], want[i])
+			}
+		}
+	})
+}
+
+// BenchmarkBinaryBatchDecode decodes one 4096-record binary batch of
+// MASK-perturbed census records (about 23 bytes a record, one-byte
+// varints throughout) from the pooled scratch — the decode layer of a
+// binary submit-batch into a MASK collection.
+func BenchmarkBinaryBatchDecode(b *testing.B) {
+	schema := dataset.CensusSchema()
+	mapping, err := core.NewBoolMapping(schema)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mask, err := core.NewMaskSchemeForPrivacy(mapping, 19)
+	if err != nil {
+		b.Fatal(err)
+	}
+	db, err := dataset.GenerateCensus(4096, 41)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(42))
+	client := &Client{schema: schema}
+	records := make([][]mining.Item, db.N())
+	for i, rec := range db.Records {
+		row, err := mask.PerturbRecord(rec, rng)
+		if err != nil {
+			b.Fatal(err)
+		}
+		records[i] = client.rowItems(mapping, row)
+	}
+	body := appendBinaryBatch(nil, records)
+	rd := bytes.NewReader(body)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sc := batchPool.Get().(*batchScratch)
+		rd.Reset(body)
+		if _, err := sc.decode(rd); err != nil {
+			b.Fatal(err)
+		}
+		sc.release()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(records)), "ns/record")
+	b.ReportMetric(float64(len(body))/float64(len(records)), "B/record")
 }
