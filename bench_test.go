@@ -413,10 +413,12 @@ func BenchmarkServiceSubmit(b *testing.B) {
 }
 
 // BenchmarkAblationCounterScan vs BenchmarkAblationCounterMaterialized:
-// the per-query database-scanning counter against the incrementally
-// materialized counter, for repeated mining of the same collection (the
-// service's workload). Materialization pays O(M·2^M) per insert to make
-// each mining query O(candidates).
+// the per-query database-scanning counter against the live counter, for
+// repeated mining of the same collection (the service's workload). The
+// live counter pays one joint-histogram cell per insert, so each mining
+// pass costs a fold of the joint, the derivation of the subset
+// histograms its candidates touch and O(candidates) lookups, never a
+// scan of the records.
 func BenchmarkAblationCounterScan(b *testing.B) {
 	cfg, census, _ := benchBundles(b)
 	m, err := core.NewGammaDiagonal(census.DB.Schema.DomainSize(), 19)
@@ -475,7 +477,7 @@ func BenchmarkAblationCounterMaterialized(b *testing.B) {
 }
 
 // BenchmarkMaterializedInsert isolates the per-record ingestion cost of
-// the materialized counter (the price of instant mining).
+// the gamma live counter: validation plus one joint-histogram cell.
 func BenchmarkMaterializedInsert(b *testing.B) {
 	_, census, _ := benchBundles(b)
 	m, err := core.NewGammaDiagonal(census.DB.Schema.DomainSize(), 19)
@@ -533,7 +535,7 @@ func benchConcurrentIngest(b *testing.B, c *mining.ShardedCounter, g int) {
 // BenchmarkConcurrentIngest compares ingestion throughput of a
 // one-shard counter (a single mutex) against a counter striped over one
 // shard per core, under 1, 4, and 8 concurrent submitters. The single
-// shard serializes every O(M·2^M) histogram update on one lock, so its
+// shard serializes every joint-histogram update on one lock, so its
 // throughput is flat in the submitter count; the striped counter is
 // expected to scale roughly linearly up to the core count.
 func BenchmarkConcurrentIngest(b *testing.B) {

@@ -194,12 +194,7 @@ func (c *boolCore) ingestPrepared(p preparedIngest, lo, hi int) time.Duration {
 
 // Supports returns scheme-reconstructed support estimates.
 func (c *boolCore) Supports(candidates []Itemset) ([]float64, error) {
-	b, err := c.prepare(candidates)
-	if err != nil {
-		return nil, err
-	}
-	c.gather(b)
-	return b.supports()
+	return coreSupports(c, candidates)
 }
 
 // applyDelta folds a replication delta into the core: every cell is a

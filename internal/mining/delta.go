@@ -24,8 +24,8 @@ import (
 // CounterDelta is one replication pull's payload: the sparse change of
 // the FULL-domain (joint) histogram between two replication positions,
 // plus everything a receiver needs to apply it safely. Only the joint
-// histogram travels — every observable a scheme needs is a projection of
-// it (gamma re-derives its subset histograms, the boolean schemes their
+// histogram travels — it is what every core keeps (gamma derives its
+// subset histograms from it at read time, the boolean schemes their
 // pattern counts), keeping the wire format compact (at most one cell per
 // new record).
 type CounterDelta struct {
@@ -310,10 +310,9 @@ func (c *ShardedCounter) ReplicationJournal() (entries, tokens int) {
 // the Generation every extracted delta carries.
 func (c *ShardedCounter) DeltaEpoch() uint64 { return c.deltaEpoch }
 
-// validateDelta runs the scheme-independent receiver checks: presence,
-// fingerprint match (which seals scheme, schema, and parameters),
-// non-negative record count, strictly positive cells, and the
-// cells-to-records sum. Cell-index range checks are per scheme.
+// validateDelta runs the receiver checks the cells themselves do not
+// carry: presence and a fingerprint match (which seals scheme, schema,
+// and parameters). Each core's addCells checks the cells.
 func validateDelta(d *CounterDelta, fingerprint string) error {
 	if d == nil {
 		return fmt.Errorf("%w: nil delta", ErrMining)
@@ -322,7 +321,7 @@ func validateDelta(d *CounterDelta, fingerprint string) error {
 		return fmt.Errorf("%w: delta fingerprint %.12s does not match counter %.12s (different scheme, schema, or perturbation contract)",
 			ErrMining, d.Fingerprint, fingerprint)
 	}
-	return checkCells(d.Cells, d.Records)
+	return nil
 }
 
 // checkCells verifies a non-negative record count carried by strictly
@@ -345,43 +344,13 @@ func checkCells(cells []DeltaCell, records int) error {
 }
 
 // applyDelta folds a replication delta into the core: every cell is a
-// batch of d.Count records at joint index d.Idx, decomposed through the
-// schema's record↔index bijection and added to every subset histogram —
-// exactly what Add would have done record by record, in O(cells·2^M)
-// instead of O(records·2^M). The caller is responsible for chaining
-// (applying a full delta to an EMPTY counter and an incremental delta to
-// the state at exactly FromVersion); the core validates everything
-// else: fingerprint, cell ranges, positivity, and the record-count sum.
+// batch of Count records at joint index Idx, added through addCells. The
+// caller is responsible for chaining (applying a full delta to an EMPTY
+// counter and an incremental delta to the state at exactly
+// FromVersion).
 func (c *gammaCore) applyDelta(d *CounterDelta) error {
 	if err := validateDelta(d, c.Fingerprint()); err != nil {
 		return err
 	}
-	for _, cell := range d.Cells {
-		if cell.Idx >= uint64(c.schema.DomainSize()) {
-			return fmt.Errorf("%w: delta cell index %d outside domain %d", ErrMining, cell.Idx, c.schema.DomainSize())
-		}
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, cell := range d.Cells {
-		rec, err := c.schema.Decode(int(cell.Idx))
-		if err != nil {
-			return err
-		}
-		for mask := 1; mask < len(c.hists); mask++ {
-			idx := 0
-			for _, j := range c.cols[mask] {
-				idx = idx*c.schema.Attrs[j].Cardinality() + rec[j]
-			}
-			c.hists[mask][idx] += cell.Count
-		}
-		if c.jr.on {
-			c.jr.add(cell.Idx, cell.Count)
-		}
-	}
-	c.n += d.Records
-	if c.jr.on {
-		c.jr.settle()
-	}
-	return nil
+	return c.addCells(d.Cells, d.Records)
 }

@@ -3,7 +3,6 @@ package mining
 import (
 	"bytes"
 	"errors"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -42,7 +41,8 @@ func randomRecord(s *dataset.Schema, rng *rand.Rand) dataset.Record {
 	return rec
 }
 
-// countersEqual compares every subset histogram and the record count.
+// countersEqual compares the record counts, the joint histograms and
+// every subset histogram derived from them, all with ==.
 func countersEqual(t *testing.T, want, got *gammaCore) {
 	t.Helper()
 	if want.N() != got.N() {
@@ -52,10 +52,12 @@ func countersEqual(t *testing.T, want, got *gammaCore) {
 	got.mu.RLock()
 	defer want.mu.RUnlock()
 	defer got.mu.RUnlock()
-	for mask := 1; mask < len(want.hists); mask++ {
-		for i := range want.hists[mask] {
-			if math.Abs(want.hists[mask][i]-got.hists[mask][i]) > 1e-9 {
-				t.Fatalf("mask %d cell %d: %v, want %v", mask, i, got.hists[mask][i], want.hists[mask][i])
+	lw, lg := newSubsetLattice(want.cards, want.joint), newSubsetLattice(got.cards, got.joint)
+	for mask := 1<<len(want.cards) - 1; mask >= 1; mask-- {
+		hw, hg := lw.hist(mask), lg.hist(mask)
+		for i := range hw {
+			if hw[i] != hg[i] {
+				t.Fatalf("mask %d cell %d: %v, want %v", mask, i, hg[i], hw[i])
 			}
 		}
 	}
@@ -70,10 +72,7 @@ func TestDeltaSinceFullThenIncrementalReconstructsCounter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replica, err := newGammaCore(s, m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	replica := testGammaCore(t, s, m)
 
 	since := uint64(0)
 	total := 0
@@ -269,10 +268,7 @@ func TestDeltaSinceUnchangedCounterReusesToken(t *testing.T) {
 func TestApplyDeltaRejectsBadPayloads(t *testing.T) {
 	s := deltaTestSchema(t)
 	m := deltaTestMatrix(t, s)
-	c, err := newGammaCore(s, m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := testGammaCore(t, s, m)
 	fp := c.Fingerprint()
 	cases := []struct {
 		name string

@@ -12,11 +12,10 @@ import "sort"
 // frequent lattice's boundary — for reconstructed results they are the
 // longest patterns the perturbation mechanism could recover.
 func Maximal(res *Result) []FrequentItemset {
-	all := res.All()
 	var out []FrequentItemset
 	for _, level := range res.ByLength {
 		for _, f := range level {
-			if !hasFrequentSuperset(f.Items, res, all) {
+			if !hasFrequentSuperset(f.Items, res) {
 				out = append(out, f)
 			}
 		}
@@ -28,7 +27,7 @@ func Maximal(res *Result) []FrequentItemset {
 // hasFrequentSuperset reports whether any frequent itemset one longer
 // extends s. Supersets are found by scanning the next level (cheap: the
 // levels are small relative to subset enumeration).
-func hasFrequentSuperset(s Itemset, res *Result, all map[string]FrequentItemset) bool {
+func hasFrequentSuperset(s Itemset, res *Result) bool {
 	nextLen := s.Len() + 1
 	if nextLen > len(res.ByLength) {
 		return false
@@ -47,7 +46,6 @@ func hasFrequentSuperset(s Itemset, res *Result, all map[string]FrequentItemset)
 			}
 		}
 	}
-	_ = all
 	return false
 }
 

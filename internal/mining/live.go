@@ -175,8 +175,8 @@ type CounterCore interface {
 }
 
 // preparedIngest is a validated, scheme-specific batch of records ready
-// for lock-held application: gamma cores prepare dense categorical
-// records, boolean cores prepare row bitsets. Preparation allocates a
+// for lock-held application: gamma cores prepare joint cell indices,
+// boolean cores prepare row bitsets. Preparation allocates a
 // constant number of slices per batch (never per record), which is what
 // keeps the service's pooled decode path at O(1) allocations per batch.
 type preparedIngest interface {
@@ -204,6 +204,17 @@ type counterBatch interface {
 	records() int
 	supports() ([]float64, error)
 	estimates() ([]PointEstimate, error)
+}
+
+// coreSupports answers candidates from one core through the read path a
+// sharded counter uses: prepare, gather the core, resolve.
+func coreSupports(c CounterCore, candidates []Itemset) ([]float64, error) {
+	b, err := c.prepare(candidates)
+	if err != nil {
+		return nil, err
+	}
+	c.gather(b)
+	return b.supports()
 }
 
 // recordItems converts a categorical record into its item list — one
@@ -277,8 +288,8 @@ func SchemeForContract(name string, schema *dataset.Schema, gamma float64) (Coun
 }
 
 // GammaScheme is the gamma-diagonal counting contract: categorical
-// records perturbed through a UniformMatrix, counted in materialized
-// subset histograms, reconstructed with the Eq. 28 closed form.
+// records perturbed through a UniformMatrix, counted in a joint
+// histogram, reconstructed with the Eq. 28 closed form.
 type GammaScheme struct {
 	schema *dataset.Schema
 	matrix core.UniformMatrix
@@ -314,15 +325,8 @@ func (g *GammaScheme) Matrix() core.UniformMatrix { return g.matrix }
 // Fingerprint returns the gamma compatibility fingerprint.
 func (g *GammaScheme) Fingerprint() string { return CompatibilityFingerprint(g.schema, g.matrix) }
 
-// newCore builds one empty materialized gamma core.
-func (g *GammaScheme) newCore() CounterCore {
-	c, err := newGammaCore(g.schema, g.matrix)
-	if err != nil {
-		// Unreachable: NewGammaScheme validated every constructor input.
-		panic(fmt.Sprintf("mining: gamma core construction failed after validation: %v", err))
-	}
-	return c
-}
+// newCore builds one empty gamma core.
+func (g *GammaScheme) newCore() CounterCore { return newGammaCore(g) }
 
 // MaskCounterScheme is the MASK counting contract: boolean-encoded
 // records with independently flipped bits, counted in a sparse joint

@@ -11,6 +11,75 @@ import (
 	"repro/internal/dataset"
 )
 
+// testGammaCore builds one empty gamma core over a validated scheme.
+func testGammaCore(t *testing.T, s *dataset.Schema, m core.UniformMatrix) *gammaCore {
+	t.Helper()
+	g, err := NewGammaScheme(s, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return newGammaCore(g)
+}
+
+// TestSubsetLatticeMatchesDirectProjection: every subset histogram the
+// lattice derives from a core's joint equals, with ==, the histogram
+// counted directly from the ingested records, on a schema whose
+// cardinalities all differ so each smallest-parent choice is exercised.
+func TestSubsetLatticeMatchesDirectProjection(t *testing.T) {
+	sc, err := dataset.NewSchema("lattice", []dataset.Attribute{
+		{Name: "a", Categories: []string{"a0", "a1", "a2", "a3"}},
+		{Name: "b", Categories: []string{"b0", "b1"}},
+		{Name: "c", Categories: []string{"c0", "c1", "c2", "c3", "c4"}},
+		{Name: "d", Categories: []string{"d0", "d1", "d2"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := core.NewGammaDiagonal(sc.DomainSize(), 19)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := testGammaCore(t, sc, m)
+	rng := rand.New(rand.NewSource(5))
+	recs := make([]dataset.Record, 3000)
+	for i := range recs {
+		recs[i] = randomRecord(sc, rng)
+		if err := c.Ingest(recordItems(recs[i])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lat := newSubsetLattice(c.cards, c.joint)
+	for mask := 1; mask < 1<<sc.M(); mask++ {
+		var cols []int
+		for j := 0; j < sc.M(); j++ {
+			if mask&(1<<j) != 0 {
+				cols = append(cols, j)
+			}
+		}
+		size, err := sc.SubdomainSize(cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]float64, size)
+		for _, rec := range recs {
+			idx, err := sc.SubIndex(rec, cols)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[idx]++
+		}
+		got := lat.hist(mask)
+		if len(got) != size {
+			t.Fatalf("mask %d: %d cells, want %d", mask, len(got), size)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("mask %d cell %d: derived %v, direct %v", mask, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestMaterializedMatchesGammaCounter(t *testing.T) {
 	db := buildSkewedDB(t, 20000, 40)
 	sc := db.Schema
@@ -31,10 +100,7 @@ func TestMaterializedMatchesGammaCounter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mat, err := newGammaCore(sc, m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mat := testGammaCore(t, sc, m)
 	for _, rec := range pdb.Records {
 		if err := mat.Ingest(recordItems(rec)); err != nil {
 			t.Fatal(err)
@@ -89,13 +155,10 @@ func TestMaterializedValidation(t *testing.T) {
 	sc := db.Schema
 	m, _ := core.NewGammaDiagonal(sc.DomainSize(), 19)
 	wrong, _ := core.NewGammaDiagonal(sc.DomainSize()+1, 19)
-	if _, err := newGammaCore(sc, wrong); !errors.Is(err, ErrMining) {
+	if _, err := NewGammaScheme(sc, wrong); !errors.Is(err, ErrMining) {
 		t.Fatal("order mismatch accepted")
 	}
-	c, err := newGammaCore(sc, m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := testGammaCore(t, sc, m)
 	bad := Itemset{{Attr: 9, Value: 0}}
 	if _, err := c.Supports([]Itemset{bad}); err == nil {
 		t.Fatal("invalid candidate accepted")
@@ -115,7 +178,7 @@ func TestMaterializedAttrCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, _ := core.NewGammaDiagonal(sc.DomainSize(), 19)
-	if _, err := newGammaCore(sc, m); !errors.Is(err, ErrMining) {
+	if _, err := NewGammaScheme(sc, m); !errors.Is(err, ErrMining) {
 		t.Fatal("17-attribute schema accepted")
 	}
 }
@@ -124,10 +187,7 @@ func TestMaterializedConcurrentAddAndQuery(t *testing.T) {
 	db := buildSkewedDB(t, 4000, 43)
 	sc := db.Schema
 	m, _ := core.NewGammaDiagonal(sc.DomainSize(), 19)
-	c, err := newGammaCore(sc, m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := testGammaCore(t, sc, m)
 	var wg sync.WaitGroup
 	const writers = 4
 	per := db.N() / writers

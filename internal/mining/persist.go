@@ -20,10 +20,11 @@ var ErrCorruptState = fmt.Errorf("%w: corrupt counter state", ErrMining)
 // scheme contract) and the state is validated against it, so a state
 // file can never silently reinterpret a different schema's counts.
 // Scheme names the perturbation scheme, the scheme's parameters ride in
-// the meta fields, and each shard carries either dense subset histograms
-// (gamma) or sparse joint cells (the boolean schemes); saved shards fold
-// modulo the live shard count. Version 4 writes the joint cells in the
-// cell codec; version 3 wrote them as gob structs and is still read.
+// the meta fields, and each shard carries its record count and its
+// joint cells in index order (legacy gamma shards: subset histograms);
+// saved shards fold modulo the live shard count. Version 4 writes the
+// joint cells in the cell codec; version 3 wrote them as gob structs
+// and is still read.
 type counterState struct {
 	Version    int
 	Scheme     string
@@ -46,10 +47,12 @@ type counterState struct {
 	Shards []shardState
 }
 
-// shardState is one shard's counts: dense subset histograms for gamma,
-// sparse joint cells for the boolean schemes.
+// shardState is one shard's counts: the record count and the joint
+// cells.
 type shardState struct {
-	N     int
+	N int
+	// Hists is the legacy gamma form, read only: the dense histogram of
+	// every attribute subset, indexed by subset bitmask (Hists[0] unused).
 	Hists [][]float64
 	Joint CellList
 	// Cells is version 3's form of Joint, read only.
@@ -91,37 +94,46 @@ func (c *gammaCore) checkState(st *counterState) error {
 	return nil
 }
 
-// restoreShard validates one shard payload against the counter's
-// structure — histogram shapes, non-negative cells, per-subset totals
-// matching the record count — and folds its counts in. Callers restore
-// into freshly built counters only, so a partially applied failed load
-// is simply discarded.
+// restoreShard validates one saved shard payload and folds it in
+// through addCells. Callers restore into freshly built counters only, so
+// a partially applied failed load is simply discarded. A legacy shard of
+// subset histograms loads from its top one, the joint, once every subset
+// histogram has its shape and non-negative cells, totals the record
+// count and equals its derivation from the joint.
 func (c *gammaCore) restoreShard(sh shardState) error {
-	if sh.N < 0 {
-		return fmt.Errorf("%w: negative record count %d", ErrMining, sh.N)
+	if len(sh.Hists) == 0 {
+		return c.addCells(sh.Joint, sh.N)
 	}
-	if len(sh.Hists) != len(c.hists) {
-		return fmt.Errorf("%w: state has %d subset histograms, want %d", ErrMining, len(sh.Hists), len(c.hists))
+	top := 1<<len(c.cards) - 1
+	switch {
+	case len(sh.Joint) != 0:
+		return fmt.Errorf("%w: state shard carries both joint cells and subset histograms", ErrMining)
+	case len(sh.Hists) != top+1:
+		return fmt.Errorf("%w: state has %d subset histograms, want %d", ErrMining, len(sh.Hists), top+1)
+	case len(sh.Hists[top]) != len(c.joint):
+		return fmt.Errorf("%w: subset %d histogram has %d cells, want %d", ErrMining, top, len(sh.Hists[top]), len(c.joint))
 	}
-	for mask := 1; mask < len(c.hists); mask++ {
-		if len(sh.Hists[mask]) != len(c.hists[mask]) {
-			return fmt.Errorf("%w: subset %d histogram has %d cells, want %d",
-				ErrMining, mask, len(sh.Hists[mask]), len(c.hists[mask]))
+	lat := newSubsetLattice(c.cards, sh.Hists[top])
+	for mask := top; mask >= 1; mask-- {
+		want := lat.hist(mask)
+		if len(sh.Hists[mask]) != len(want) {
+			return fmt.Errorf("%w: subset %d histogram has %d cells, want %d", ErrMining, mask, len(sh.Hists[mask]), len(want))
 		}
 		var sum float64
-		for _, v := range sh.Hists[mask] {
+		for i, v := range sh.Hists[mask] {
 			if v < 0 {
 				return fmt.Errorf("%w: negative count in subset %d", ErrMining, mask)
+			}
+			if v != want[i] {
+				return fmt.Errorf("%w: subset %d histogram is not the projection of the joint", ErrMining, mask)
 			}
 			sum += v
 		}
 		if diff := sum - float64(sh.N); diff > 1e-6 || diff < -1e-6 {
 			return fmt.Errorf("%w: subset %d totals %v, want %d", ErrMining, mask, sum, sh.N)
 		}
-		addInto(c.hists[mask], sh.Hists[mask])
 	}
-	c.n += sh.N
-	return nil
+	return c.addCells(denseCells(sh.Hists[top], min(sh.N, len(c.joint))), sh.N)
 }
 
 // stateOf assembles the state of a cutState cut.

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/dataset"
 )
 
 // TestShardedApplyDeltaChainEquivalence: folding a full delta plus a
@@ -317,5 +319,41 @@ func TestDecodeStateWrapsCorruptPayloads(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "scheme") {
 		t.Fatalf("mismatch error %q does not explain the scheme conflict", err)
+	}
+}
+
+// BenchmarkGammaMerge times one federation publish over two census
+// replicas: a fresh one-shard counter merges both, each holding 20k
+// uniformly drawn records over its two shards (nearly every one of the
+// 2 000 joint cells set).
+func BenchmarkGammaMerge(b *testing.B) {
+	schema := dataset.CensusSchema()
+	scheme, err := SchemeForContract(SchemeGamma, schema, 19)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	replicas := make([]*ShardedCounter, 2)
+	for i := range replicas {
+		if replicas[i], err = NewShardedCounter(scheme, 2); err != nil {
+			b.Fatal(err)
+		}
+		for k := 0; k < 20_000; k++ {
+			if err := replicas[i].Add(randomRecord(schema, rng)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		merged, err := NewShardedCounter(scheme, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, r := range replicas {
+			if err := merged.Merge(r); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }

@@ -309,7 +309,7 @@ func TestShardedPersistRoundTrip(t *testing.T) {
 }
 
 // TestShardedLoadRejectsBadState: a valid payload restored under a
-// different schema or matrix, and a payload whose per-subset totals
+// different schema or matrix, and a payload whose joint cells
 // disagree with its record count, are contract errors.
 func TestShardedLoadRejectsBadState(t *testing.T) {
 	db := buildSkewedDB(t, 200, 76)
@@ -342,8 +342,8 @@ func TestShardedLoadRejectsBadState(t *testing.T) {
 	if err := load(bytes.NewReader(raw), sc, m2); !errors.Is(err, ErrMining) {
 		t.Fatal("mismatched matrix accepted")
 	}
-	// Tampered per-shard totals must be rejected.
-	c.shards[1].(*gammaCore).hists[1][0] += 5
+	// A tampered joint cell breaks its shard's total and must be rejected.
+	c.shards[1].(*gammaCore).joint[0] += 5
 	var tampered bytes.Buffer
 	if err := c.CheckpointCut(0).Save(&tampered); err != nil {
 		t.Fatal(err)

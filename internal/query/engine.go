@@ -11,8 +11,8 @@
 // perturbed database, scanning it once per filter; it is the offline
 // reference the live path is tested against. CounterEngine asks a
 // mining.LiveCounter for its scheme's estimates — the same estimator
-// for gamma, resolved from incrementally materialized histograms in
-// O(#filters) — and attaches the confidence intervals. Interval is the
+// for gamma, resolved from the live joint histogram and the subset
+// histograms derived from it, never a record scan — and attaches the confidence intervals. Interval is the
 // one interval builder both engines and the collection service use.
 package query
 
